@@ -167,6 +167,18 @@ def chain_triple(x: BandGenerator, y: BandGenerator) -> tuple[int, int, int]:
     raise BandError(f"pair {x} {y} is not in a chain relation")
 
 
+def chain_forms(n: int, t: int, s: int, r: int) -> dict[str, tuple[BandGenerator, BandGenerator]]:
+    """The three equal products A, B, C of the chain relation on t > s > r."""
+    a_ts = BandGenerator(n, t, s)
+    a_sr = BandGenerator(n, s, r)
+    a_tr = BandGenerator(n, t, r)
+    return {
+        "A": (a_ts, a_sr),
+        "B": (a_tr, a_ts),
+        "C": (a_sr, a_tr),
+    }
+
+
 @dataclass(frozen=True)
 class RelationReport:
     n: int
@@ -205,13 +217,9 @@ def band_relations_hold(n: int) -> RelationReport:
         for s in range(2, t):
             for r in range(1, s):
                 triples += 1
-                ats = expand(BandGenerator(n, t, s))
-                asr = expand(BandGenerator(n, s, r))
-                atr = expand(BandGenerator(n, t, r))
                 forms = {
-                    "A": compose(ats, asr),
-                    "B": compose(atr, ats),
-                    "C": compose(asr, atr),
+                    form: compose(expand(x), expand(y))
+                    for form, (x, y) in chain_forms(n, t, s, r).items()
                 }
                 for lhs, rhs in (("A", "B"), ("B", "C")):
                     equalities += 1

@@ -6,7 +6,7 @@ Exit codes follow one contract across subcommands:
 * 1: a conclusive negative verdict (NotEqual / Reject / search space
      exhausted without a hit)
 * 2: inconclusive, a depth or size cap fired before the question settled
-* 3: malformed input
+* 3: malformed input, argparse usage errors included
 
 File arguments also accept ``-`` for standard input, or an inline JSON
 literal.  With ``--format json`` the payload is serialized with sorted
@@ -167,7 +167,8 @@ def cmd_orbit(args) -> int:
 
 def cmd_rewrite_class(args) -> int:
     w = parse_band_word(args.word, args.strands)
-    res = equivalence_class(w, size_cap=args.size_cap or 10**6)
+    cap = 10**6 if args.size_cap is None else args.size_cap
+    res = equivalence_class(w, size_cap=cap)
     payload = res.as_dict()
     text = "\n".join([f"size={len(res.words)} truncated={res.truncated}"]
                      + [str(v) for v in res.words])
@@ -178,7 +179,8 @@ def cmd_rewrite_class(args) -> int:
 def cmd_positive_path(args) -> int:
     w1 = parse_band_word(args.word1, args.strands)
     w2 = parse_band_word(args.word2, args.strands)
-    res = hurwitz_path_positive(w1, w2, size_cap=args.size_cap or 10**6)
+    cap = 10**6 if args.size_cap is None else args.size_cap
+    res = hurwitz_path_positive(w1, w2, size_cap=cap)
     if res.status == "found":
         text = "found: " + " ".join(str(v) for v in res.as_dict()["moves"])
     elif res.status == "not_equal":
@@ -232,8 +234,16 @@ def cmd_verify(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as malformed input (exit 3), not exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="braidkit",
         description="Band-generator braid computations, Hurwitz moves, and semi-frame checks.",
     )
@@ -243,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         if strands:
             p.add_argument("--strands", type=int, default=3, help="strand count (default 3)")
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; searches currently run sequentially")
 
     p = sub.add_parser("nf", help="Garside normal form of an Artin word")
     p.add_argument("word", help="signed generator indices, e.g. '1 2 -1'")
@@ -326,9 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 3
     try:
         return args.fn(args)
     except InputError as exc:

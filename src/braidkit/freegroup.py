@@ -18,20 +18,14 @@ independent.
 
 from __future__ import annotations
 
-from .words import BraidWord, WordError
+from .words import BraidWord, WordError, _reduce
 
 # A free word is a freely reduced tuple of (generator index 1..n, sign).
 FreeWord = tuple[tuple[int, int], ...]
 
-
-def free_word_reduce(letters) -> FreeWord:
-    out: list[tuple[int, int]] = []
-    for g, s in letters:
-        if out and out[-1][0] == g and out[-1][1] == -s:
-            out.pop()
-        else:
-            out.append((g, s))
-    return tuple(out)
+# Free letters have the shape of Artin letters, (index, sign), so the
+# free reduction of braid words serves free words unchanged.
+free_word_reduce = _reduce
 
 
 def free_word_inverse(w: FreeWord) -> FreeWord:
@@ -57,17 +51,12 @@ def _substitute(word: FreeWord, images: dict[int, FreeWord]) -> FreeWord:
     for g, s in word:
         image = images.get(g)
         if image is None:
-            piece: FreeWord = ((g, s),)
+            out.append((g, s))
         elif s == 1:
-            piece = image
+            out.extend(image)
         else:
-            piece = free_word_inverse(image)
-        for letter in piece:
-            if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-                out.pop()
-            else:
-                out.append(letter)
-    return tuple(out)
+            out.extend(free_word_inverse(image))
+    return _reduce(out)
 
 
 def generator_images(w: BraidWord) -> tuple[FreeWord, ...]:

@@ -12,12 +12,20 @@ factors are equal as braids position by position.  Orbit and path
 search deduplicate on that key, expand states in a fixed order, and
 sort emitted keys, so their output is reproducible run to run.
 
+Every breadth-first search in the package, these two and the relation
+rewrites of `rewriting`, grows a `SearchTree`: one visited map with
+parent links, one size cap that sets `capped` only when it turns an
+unvisited state away, and one parent walk for reading a path back.
+Every path a search reports is replayed first, and a mismatch raises
+`ReplayError`.
+
 Serialized moves are signed integers: k stands for R_k and -k for
 R_k^-1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .bands import Factorization
@@ -83,10 +91,82 @@ def tuple_key(f: Factorization) -> str:
     return ";".join(f.factor_keys)
 
 
-def _neighbors(f: Factorization):
+class ReplayError(RuntimeError):
+    """A found path does not replay to its target: a fault in the search."""
+
+
+def check_replay(got, want, what: str) -> None:
+    """Raise ReplayError unless a found path's replay matches its target.
+
+    Searches call this on every path they return, under ``python -O``
+    too, so a wrong "found" can never be reported.
+    """
+    if got != want:
+        raise ReplayError(f"{what} does not replay to its target")
+
+
+class SearchTree:
+    """A breadth-first search tree, the engine behind every search here.
+
+    `neighbors(state)` yields (neighbor, step) pairs in a fixed order and
+    `key(state)` names a state for deduplication.  `parents` maps each
+    visited key to (parent key, step), with (None, None) at the root;
+    `frontier` holds the (key, state) pairs of the newest layer, and
+    `capped` records that a size cap turned an unvisited neighbor away.
+    """
+
+    def __init__(self, root, key, neighbors) -> None:
+        self.key = key
+        self.neighbors = neighbors
+        self.root_key = key(root)
+        self.parents = {self.root_key: (None, None)}
+        self.frontier = [(self.root_key, root)]
+        self.depth = 0
+        self.capped = False
+
+    def grow(self, size_cap: int | None):
+        """Expand the frontier by one layer, keeping the tree within size_cap.
+
+        Yields each newly admitted (key, state), and None once every
+        neighbor of a frontier state has been examined, so a caller can
+        stop between states.  The frontier and depth advance only when
+        the whole layer has been expanded.
+        """
+        parents, key, neighbors = self.parents, self.key, self.neighbors
+        limit = math.inf if size_cap is None else size_cap
+        nxt = []
+        for at, state in self.frontier:
+            for nb, step in neighbors(state):
+                nb_key = key(nb)
+                if nb_key in parents:
+                    continue
+                if len(parents) >= limit:
+                    self.capped = True
+                    continue
+                parents[nb_key] = (at, step)
+                nxt.append((nb_key, nb))
+                yield nb_key, nb
+            yield None
+        self.frontier = nxt
+        self.depth += 1
+
+    def path(self, at) -> list:
+        """The steps leading from the root to the visited key `at`."""
+        steps = []
+        parent, step = self.parents[at]
+        while parent is not None:
+            steps.append(step)
+            parent, step = self.parents[parent]
+        steps.reverse()
+        return steps
+
+
+def _moves(f: Factorization):
+    """Each single move on f as (result, move), in search order."""
     for k in range(1, len(f)):
-        yield apply_move(f, Move(k, 1))
-        yield apply_move(f, Move(k, -1))
+        for direction in (1, -1):
+            move = Move(k, direction)
+            yield apply_move(f, move), move
 
 
 @dataclass(frozen=True)
@@ -118,51 +198,38 @@ def orbit_explore(
     """
     if size_cap is not None and size_cap < 1:
         return OrbitReport(0, (), True, ())
-    visited: dict[str, None] = {tuple_key(f): None}
-    frontier = [f]
+    tree = SearchTree(f, tuple_key, _moves)
     depth_counts = [1]
-    truncated = False
-    depth = 0
-    while frontier:
-        if depth_cap is not None and depth >= depth_cap:
+    while tree.frontier:
+        if depth_cap is not None and tree.depth >= depth_cap:
             # Not allowed to expand further; the orbit is complete only
-            # if the frontier has no unvisited neighbors.
-            if not truncated:
-                truncated = any(
-                    tuple_key(nb) not in visited
-                    for state in frontier
-                    for nb in _neighbors(state)
-                )
+            # if the frontier has no unvisited neighbors, which a layer
+            # with no room for new states reveals by capping.
+            if not tree.capped:
+                for _ in tree.grow(0):
+                    if tree.capped:
+                        break
             break
-        nxt: list[Factorization] = []
-        for state in frontier:
-            for nb in _neighbors(state):
-                key = tuple_key(nb)
-                if key in visited:
-                    continue
-                if size_cap is not None and len(visited) >= size_cap:
-                    truncated = True
-                    continue
-                visited[key] = None
-                nxt.append(nb)
-        if nxt:
-            depth_counts.append(len(nxt))
-        frontier = nxt
-        depth += 1
+        for _ in tree.grow(size_cap):
+            pass
+        if tree.frontier:
+            depth_counts.append(len(tree.frontier))
     return OrbitReport(
-        len(visited), tuple(depth_counts), truncated, tuple(sorted(visited))
+        len(tree.parents), tuple(depth_counts), tree.capped, tuple(sorted(tree.parents))
     )
 
 
 @dataclass(frozen=True)
 class PathResult:
-    """Outcome of a path search between two factorizations.
+    """Outcome of a search for a move sequence.
 
     status "found" carries the move sequence, already replay-checked.
-    "not_comparable" means the product keys differ, so no sequence can
-    exist.  "not_found" with truncated False means the reachable orbit
-    was exhausted; with truncated True a cap stopped the search and the
-    result says nothing either way.
+    From `find_path`, "not_comparable" means the product keys differ, so
+    no sequence can exist.  "not_found" with truncated False means the
+    reachable orbit was exhausted; with truncated True a cap stopped the
+    search and the result says nothing either way.  The compiled search
+    `rewriting.hurwitz_path_positive` reports "not_equal" and
+    "inconclusive" in place of the last two.
     """
 
     status: str
@@ -179,18 +246,6 @@ class PathResult:
         }
 
 
-def _reconstruct(parents: dict[str, tuple[str | None, Move | None]], key: str) -> list[Move]:
-    moves: list[Move] = []
-    while True:
-        parent, move = parents[key]
-        if parent is None:
-            break
-        moves.append(move)
-        key = parent
-    moves.reverse()
-    return moves
-
-
 def find_path(
     f1: Factorization,
     f2: Factorization,
@@ -199,8 +254,10 @@ def find_path(
 ) -> PathResult:
     """Bidirectional breadth-first search for a move sequence f1 -> f2.
 
-    Found sequences are verified by replay before being returned: the
-    final tuple matches f2 in per-factor keys, position by position.
+    Each round grows the tree with the smaller frontier by one layer;
+    the size cap bounds both trees together.  Found sequences are
+    verified by replay before being returned: the final tuple matches
+    f2 in per-factor keys, position by position.
     """
     if f1.n != f2.n:
         raise MoveError(f"strand counts differ: {f1.n} vs {f2.n}")
@@ -209,69 +266,38 @@ def find_path(
 
     def finish(moves: list[Move], visited: int) -> PathResult:
         replayed = apply_sequence(f1, moves)
-        assert replayed.factor_keys == f2.factor_keys, "path replay mismatch"
+        check_replay(replayed.factor_keys, f2.factor_keys, "move path")
         return PathResult("found", tuple(moves), visited, False)
 
-    k1, k2 = tuple_key(f1), tuple_key(f2)
-    if k1 == k2:
+    fwd = SearchTree(f1, tuple_key, _moves)
+    bwd = SearchTree(f2, tuple_key, _moves)
+    if fwd.root_key == bwd.root_key:
         return finish([], 1)
     if f1.product_key != f2.product_key:
         return PathResult("not_comparable", None, 0, False)
 
-    fwd_parents: dict[str, tuple[str | None, Move | None]] = {k1: (None, None)}
-    bwd_parents: dict[str, tuple[str | None, Move | None]] = {k2: (None, None)}
-    fwd_frontier: list[tuple[str, Factorization]] = [(k1, f1)]
-    bwd_frontier: list[tuple[str, Factorization]] = [(k2, f2)]
-    depth_fwd = depth_bwd = 0
-    capped = False
-
-    def stitch(meet: str) -> list[Move]:
-        head = _reconstruct(fwd_parents, meet)
-        tail = _reconstruct(bwd_parents, meet)
-        return head + [m.inverted() for m in reversed(tail)]
-
-    while fwd_frontier and bwd_frontier:
-        if depth_cap is not None and depth_fwd + depth_bwd >= depth_cap:
+    while fwd.frontier and bwd.frontier:
+        if depth_cap is not None and fwd.depth + bwd.depth >= depth_cap:
             return PathResult(
-                "not_found", None, len(fwd_parents) + len(bwd_parents), True
+                "not_found", None, len(fwd.parents) + len(bwd.parents), True
             )
-        forward = len(fwd_frontier) <= len(bwd_frontier)
-        frontier, parents, others = (
-            (fwd_frontier, fwd_parents, bwd_parents)
-            if forward
-            else (bwd_frontier, bwd_parents, fwd_parents)
-        )
-        nxt: list[tuple[str, Factorization]] = []
-        meet: str | None = None
-        for key, state in frontier:
-            for k in range(1, len(state)):
-                for direction in (1, -1):
-                    move = Move(k, direction)
-                    nb = apply_move(state, move)
-                    nb_key = tuple_key(nb)
-                    if nb_key in parents:
-                        continue
-                    if (
-                        size_cap is not None
-                        and len(fwd_parents) + len(bwd_parents) >= size_cap
-                    ):
-                        capped = True
-                        continue
-                    parents[nb_key] = (key, move)
-                    nxt.append((nb_key, nb))
-                    if meet is None and nb_key in others:
-                        meet = nb_key
-            if meet is not None:
-                break
-        if meet is not None:
-            return finish(stitch(meet), len(fwd_parents) + len(bwd_parents))
-        if forward:
-            fwd_frontier = nxt
-            depth_fwd += 1
+        if len(fwd.frontier) <= len(bwd.frontier):
+            tree, other = fwd, bwd
         else:
-            bwd_frontier = nxt
-            depth_bwd += 1
+            tree, other = bwd, fwd
+        cap = None if size_cap is None else size_cap - len(other.parents)
+        meet: str | None = None
+        # The state on which the trees meet is expanded to the end.
+        for item in tree.grow(cap):
+            if item is None:
+                if meet is not None:
+                    break
+            elif meet is None and item[0] in other.parents:
+                meet = item[0]
+        if meet is not None:
+            moves = fwd.path(meet) + [m.inverted() for m in reversed(bwd.path(meet))]
+            return finish(moves, len(fwd.parents) + len(bwd.parents))
 
     return PathResult(
-        "not_found", None, len(fwd_parents) + len(bwd_parents), capped
+        "not_found", None, len(fwd.parents) + len(bwd.parents), fwd.capped or bwd.capped
     )

@@ -4,7 +4,10 @@ Two positive band words that are equal as braids can be transformed
 into one another by single relation applications on adjacent letters,
 staying positive throughout.  This module performs that search and
 translates each relation step into the Hurwitz move that realizes it on
-the expanded factorizations.
+the expanded factorizations.  Closures and relation paths are grown by
+the breadth-first `SearchTree` of `hurwitz`, with `neighbors` as the
+expansion and the letter sequence as the key; compiled paths come back
+as its `PathResult`.
 
 A step names the 1-based position of the left letter of the rewritten
 pair and one of seven rules.  The chain relation's three equal products
@@ -19,17 +22,18 @@ R_k^-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .bands import (
     BandError,
-    BandGenerator,
     BandWord,
     PairClass,
     band_factorization,
+    chain_forms,
     chain_triple,
     classify_pair,
 )
-from .hurwitz import Move, apply_sequence, move_to_int
+from .hurwitz import Move, PathResult, SearchTree, apply_sequence, check_replay
 
 RULES = ("A->B", "B->C", "C->A", "B->A", "C->B", "A->C", "Comm")
 
@@ -57,17 +61,6 @@ class RelationStep:
             raise BandError(f"unknown rule {self.rule!r}")
 
 
-def _chain_forms(n: int, t: int, s: int, r: int):
-    a_ts = BandGenerator(n, t, s)
-    a_sr = BandGenerator(n, s, r)
-    a_tr = BandGenerator(n, t, r)
-    return {
-        "A": (a_ts, a_sr),
-        "B": (a_tr, a_ts),
-        "C": (a_sr, a_tr),
-    }
-
-
 def apply_step(w: BandWord, step: RelationStep) -> BandWord:
     """Rewrite one adjacent pair of w according to the step's rule."""
     i = step.position - 1
@@ -80,7 +73,7 @@ def apply_step(w: BandWord, step: RelationStep) -> BandWord:
     if step.rule == "Comm":
         pair = (y, x)
     else:
-        forms = _chain_forms(w.n, *chain_triple(x, y))
+        forms = chain_forms(w.n, *chain_triple(x, y))
         pair = forms[step.rule[-1]]
     return BandWord(w.n, w.letters[:i] + pair + w.letters[i + 2 :])
 
@@ -137,23 +130,13 @@ def equivalence_class(w: BandWord, size_cap: int = 10**6) -> ClosureResult:
     """
     if size_cap < 1:
         raise BandError("size_cap must be >= 1")
-    seen: dict[tuple, BandWord] = {_word_key(w): w}
-    frontier = [w]
-    truncated = False
-    while frontier:
-        nxt: list[BandWord] = []
-        for state in frontier:
-            for nb, _step in neighbors(state):
-                key = _word_key(nb)
-                if key in seen:
-                    continue
-                if len(seen) >= size_cap:
-                    truncated = True
-                    continue
-                seen[key] = nb
-                nxt.append(nb)
-        frontier = nxt
-    return ClosureResult(tuple(seen[k] for k in sorted(seen)), truncated)
+    tree = SearchTree(w, _word_key, neighbors)
+    members = {tree.root_key: w}
+    while tree.frontier:
+        for _ in tree.grow(size_cap):
+            pass
+        members.update(tree.frontier)
+    return ClosureResult(tuple(members[k] for k in sorted(members)), tree.capped)
 
 
 @dataclass(frozen=True)
@@ -178,17 +161,6 @@ class RelationPathResult:
     visited: int
     truncated: bool
 
-    def as_dict(self) -> dict:
-        steps = None
-        if self.path is not None:
-            steps = [{"position": s.position, "rule": s.rule} for s in self.path.steps]
-        return {
-            "status": self.status,
-            "steps": steps,
-            "visited": self.visited,
-            "truncated": self.truncated,
-        }
-
 
 def relation_path(w1: BandWord, w2: BandWord, size_cap: int = 10**6) -> RelationPathResult:
     """Shortest sequence of relation steps from w1 to w2.
@@ -205,43 +177,18 @@ def relation_path(w1: BandWord, w2: BandWord, size_cap: int = 10**6) -> Relation
     if len(w1) != len(w2):
         return RelationPathResult("not_equal", None, 0, False)
     target = _word_key(w2)
-    if _word_key(w1) == target:
+    tree = SearchTree(w1, _word_key, neighbors)
+    if tree.root_key == target:
         return RelationPathResult("found", RewritePath(w1, w2, ()), 1, False)
-    parents: dict[tuple, tuple[tuple | None, RelationStep | None]] = {
-        _word_key(w1): (None, None)
-    }
-    frontier = [w1]
-    truncated = False
-    while frontier:
-        frontier.sort(key=_word_key)
-        nxt: list[BandWord] = []
-        for state in frontier:
-            state_key = _word_key(state)
-            for nb, step in neighbors(state):
-                key = _word_key(nb)
-                if key in parents:
-                    continue
-                if len(parents) >= size_cap:
-                    truncated = True
-                    continue
-                parents[key] = (state_key, step)
-                if key == target:
-                    steps: list[RelationStep] = []
-                    at = key
-                    while True:
-                        parent, via = parents[at]
-                        if parent is None:
-                            break
-                        steps.append(via)
-                        at = parent
-                    steps.reverse()
-                    path = RewritePath(w1, w2, tuple(steps))
-                    assert _word_key(path.replay()) == target, "rewrite replay mismatch"
-                    return RelationPathResult("found", path, len(parents), truncated)
-                nxt.append(nb)
-        frontier = nxt
-    status = "inconclusive" if truncated else "not_equal"
-    return RelationPathResult(status, None, len(parents), truncated)
+    while tree.frontier:
+        tree.frontier.sort(key=itemgetter(0))
+        for item in tree.grow(size_cap):
+            if item is not None and item[0] == target:
+                path = RewritePath(w1, w2, tuple(tree.path(target)))
+                check_replay(_word_key(path.replay()), target, "rewrite path")
+                return RelationPathResult("found", path, len(tree.parents), tree.capped)
+    status = "inconclusive" if tree.capped else "not_equal"
+    return RelationPathResult(status, None, len(tree.parents), tree.capped)
 
 
 def step_to_move(step: RelationStep) -> Move:
@@ -254,25 +201,9 @@ def step_to_move(step: RelationStep) -> Move:
     return Move(step.position, 1 if step.rule in _FORWARD else -1)
 
 
-@dataclass(frozen=True)
-class CompiledPathResult:
-    status: str
-    moves: tuple[Move, ...] | None
-    visited: int
-    truncated: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "moves": None if self.moves is None else [move_to_int(m) for m in self.moves],
-            "visited": self.visited,
-            "truncated": self.truncated,
-        }
-
-
 def hurwitz_path_positive(
     w1: BandWord, w2: BandWord, size_cap: int = 10**6
-) -> CompiledPathResult:
+) -> PathResult:
     """Compile the relation path between two positive band words to moves.
 
     The returned sequence is replay-verified: applied to the expanded
@@ -281,10 +212,10 @@ def hurwitz_path_positive(
     """
     res = relation_path(w1, w2, size_cap)
     if res.status != "found":
-        return CompiledPathResult(res.status, None, res.visited, res.truncated)
+        return PathResult(res.status, None, res.visited, res.truncated)
     moves = tuple(step_to_move(s) for s in res.path.steps)
     replayed = apply_sequence(band_factorization(w1), moves)
-    assert replayed.factor_keys == band_factorization(w2).factor_keys, (
-        "compiled move sequence does not replay"
+    check_replay(
+        replayed.factor_keys, band_factorization(w2).factor_keys, "compiled move sequence"
     )
-    return CompiledPathResult("found", moves, res.visited, res.truncated)
+    return PathResult("found", moves, res.visited, res.truncated)

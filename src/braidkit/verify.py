@@ -19,6 +19,7 @@ from .bands import (
     all_generators,
     band_factorization,
     band_relations_hold,
+    chain_forms,
     classify_pair,
     conjugated_factorization,
     delta_squared_word,
@@ -110,24 +111,13 @@ def suite_centrality(n: int) -> dict:
     return _report("centrality", n, checks, failures)
 
 
-def _chain_words(n: int, t: int, s: int, r: int) -> dict[str, BandWord]:
-    a_ts = BandGenerator(n, t, s)
-    a_sr = BandGenerator(n, s, r)
-    a_tr = BandGenerator(n, t, r)
-    return {
-        "A": BandWord(n, (a_ts, a_sr)),
-        "B": BandWord(n, (a_tr, a_ts)),
-        "C": BandWord(n, (a_sr, a_tr)),
-    }
-
-
 def suite_chain_rules(n: int) -> dict:
     """Every relation step is realized, on expansions, by its compiled move."""
     failures: list[str] = []
     checks = 0
     rules = ("A->B", "B->C", "C->A", "B->A", "C->B", "A->C")
     for t, s, r in itertools.combinations(range(n, 0, -1), 3):
-        words = _chain_words(n, t, s, r)
+        words = {form: BandWord(n, pair) for form, pair in chain_forms(n, t, s, r).items()}
         # The conjugation identity behind the move table.
         checks += 1
         lhs = conjugate(expand(BandGenerator(n, s, r)), inverse(expand(BandGenerator(n, t, s))))
@@ -361,9 +351,13 @@ def run_suite(
     if name == "embedding":
         return suite_embedding(n)
     if name == "twist-closure":
-        return suite_twist_closure(n, size_cap=size_cap or 200000, seed=seed)
+        return suite_twist_closure(n, size_cap=200000 if size_cap is None else size_cap, seed=seed)
     if name == "conjugated-split":
-        return suite_conjugated_split(n, depth_cap=depth_cap or 8, size_cap=size_cap or 5000)
+        return suite_conjugated_split(
+            n,
+            depth_cap=8 if depth_cap is None else depth_cap,
+            size_cap=5000 if size_cap is None else size_cap,
+        )
     if name == "action-axioms":
         return suite_action_axioms(n, seed=seed)
     raise ValueError(f"unknown suite {name!r}")

@@ -18,6 +18,7 @@ from the text; callers always supply it.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import perms
@@ -91,7 +92,8 @@ def format_word(w: BraidWord) -> str:
     return " ".join(str(i * s) for i, s in w.letters)
 
 
-def _reduce(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
+    """Cancel adjacent inverse letter pairs until none remain."""
     out: list[Letter] = []
     for index, sign in letters:
         if out and out[-1][0] == index and out[-1][1] == -sign:

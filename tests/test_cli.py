@@ -234,12 +234,27 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
-def test_threads_validation(capsys):
-    code, _, err = run(capsys, "eq", "--threads", "0", "1", "1")
+def test_usage_errors_are_malformed_input(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eq", "--threads", "2", "1", "1"])
+    assert exc.value.code == 3
+    assert "unrecognized arguments" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["nf", "--strands", "three", "1"])
+    assert exc.value.code == 3
+    assert "invalid int value" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["nf", "--help"])
+    assert exc.value.code == 0
+
+
+def test_zero_caps_reach_the_search(capsys):
+    code, _, err = run(capsys, "rewrite-class", "3:2 2:1", "--size-cap", "0")
     assert code == 3
-    assert "--threads" in err
-    code, _, _ = run(capsys, "eq", "--threads", "2", "1", "1")
-    assert code == 0
+    assert "size_cap" in err
+    code, out, _ = run(capsys, "verify", "conjugated-split", "--depth-cap", "0")
+    assert code == 2
+    assert out.startswith("INCONCLUSIVE conjugated-split")
 
 
 def test_bad_word_is_an_input_error(capsys):
