@@ -5,7 +5,8 @@ Exit codes follow one contract across subcommands:
 * 0: success, or a positive verdict (Equal / Found / Accept / all suites pass)
 * 1: a conclusive negative verdict (NotEqual / Reject / search space
      exhausted without a hit)
-* 2: inconclusive, a depth or size cap fired before the question settled
+* 2: inconclusive, a depth or size cap fired before the question settled,
+     or a search fault (a found path that fails its replay) stopped it
 * 3: malformed input, argparse usage errors included
 
 File arguments also accept ``-`` for standard input, or an inline JSON
@@ -28,7 +29,14 @@ from .bands import (
     expand_word,
     parse_band_word,
 )
-from .hurwitz import MoveError, apply_sequence, find_path, move_from_int, orbit_explore
+from .hurwitz import (
+    MoveError,
+    ReplayError,
+    apply_sequence,
+    find_path,
+    move_from_int,
+    orbit_explore,
+)
 from .normalform import canonical_key, normal_form
 from .planar import MapError, check_semiframe, map_from_json
 from .rewriting import equivalence_class, hurwitz_path_positive
@@ -48,17 +56,25 @@ def _load_json_arg(arg: str):
     return json.loads(arg)
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: an int that is not a bool (JSON true is not 1)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _factorization_from_json(data) -> Factorization:
     if not isinstance(data, dict) or "strands" not in data or "factors" not in data:
         raise BandError("factorization JSON needs 'strands' and 'factors'")
     n = data["strands"]
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise BandError("'strands' must be an integer")
-    return Factorization(n, tuple(parse_word(s, n) for s in data["factors"]))
+    factors = data["factors"]
+    if not isinstance(factors, list) or not all(isinstance(s, str) for s in factors):
+        raise BandError("'factors' must be an array of word strings")
+    return Factorization(n, tuple(parse_word(s, n) for s in factors))
 
 
 def _moves_from_json(data):
-    if not isinstance(data, list):
+    if not isinstance(data, list) or not all(_is_int(v) for v in data):
         raise MoveError("move sequence JSON must be an array of signed integers")
     return [move_from_int(v) for v in data]
 
@@ -342,6 +358,10 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ReplayError as exc:
+        # A search fault, not a verdict: no answer was reached.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

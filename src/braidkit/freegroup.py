@@ -32,30 +32,32 @@ def free_word_inverse(w: FreeWord) -> FreeWord:
     return tuple((g, -s) for g, s in reversed(w))
 
 
-def _letter_images(index: int, sign: int) -> dict[int, FreeWord]:
-    """Images of the moved generators under one Artin letter."""
+def _letter_images(index: int, sign: int) -> dict[tuple[int, int], FreeWord]:
+    """Images of the moved free letters, both signs, under one Artin letter.
+
+    Each image is built once per Artin letter and shared by every
+    occurrence it replaces.
+    """
     i = index
     if sign == 1:
-        return {
-            i: ((i, 1), (i + 1, 1), (i, -1)),
-            i + 1: ((i, 1),),
-        }
-    return {
-        i: ((i + 1, 1),),
-        i + 1: ((i + 1, -1), (i, 1), (i + 1, 1)),
-    }
+        moved = {i: ((i, 1), (i + 1, 1), (i, -1)), i + 1: ((i, 1),)}
+    else:
+        moved = {i: ((i + 1, 1),), i + 1: ((i + 1, -1), (i, 1), (i + 1, 1))}
+    images: dict[tuple[int, int], FreeWord] = {}
+    for g, image in moved.items():
+        images[(g, 1)] = image
+        images[(g, -1)] = free_word_inverse(image)
+    return images
 
 
-def _substitute(word: FreeWord, images: dict[int, FreeWord]) -> FreeWord:
+def _substitute(word: FreeWord, images: dict[tuple[int, int], FreeWord]) -> FreeWord:
     out: list[tuple[int, int]] = []
-    for g, s in word:
-        image = images.get(g)
+    for letter in word:
+        image = images.get(letter)
         if image is None:
-            out.append((g, s))
-        elif s == 1:
-            out.extend(image)
+            out.append(letter)
         else:
-            out.extend(free_word_inverse(image))
+            out.extend(image)
     return _reduce(out)
 
 

@@ -8,6 +8,14 @@ sequence is left weighted: the finishing set of f_k contains the
 starting set of f_{k+1}.  That data is unique, so braids are compared by
 comparing it.
 
+Each letter becomes one factor, negative letters borrowing a Delta^-1
+that floats to the front.  The factors are then multiplied in one at a
+time, in Thurston's incremental way (Epstein et al., *Word Processing in
+Groups*, 1992, ch. 9): after each factor the sequence is made left
+weighted again by a walk leftward from the new pair that stops at the
+first pair left unchanged, so the cost follows the letters that move,
+not a sweep over the whole sequence.
+
 The permutation conventions follow `perms`: one-line tuples are
 0-based and `compose(p, q)` applies p first.  Under that convention the
 starting set of a factor is `left_descents` and the finishing set is
@@ -51,32 +59,60 @@ def _tau(p: Perm, w0: Perm) -> Perm:
     return perms.compose(perms.compose(w0, p), w0)
 
 
-def _left_weighted(factors: list[Perm], n: int) -> list[Perm]:
-    """Slide letters leftward until every adjacent pair is left weighted.
+def _transfer(a: list[int], ai: list[int], b: list[int], bi: list[int]) -> bool:
+    """Make the pair (a, b) left weighted in place; report whether it changed.
 
-    A transfer moves one adjacent transposition from the head of a
-    factor to the tail of its left neighbour.  Each transfer shifts
-    length toward lower positions, so the sweep loop terminates.
+    Letter i moves from the head of b to the tail of a while it starts b
+    (b[i] > b[i+1]) and does not finish a (ai[i] < ai[i+1], ai being a's
+    inverse).  A move changes these two tests only at i - 1, i and i + 1,
+    so the scan steps back one place after a move instead of restarting.
     """
-    identity = perms.identity(n)
-    facs = [p for p in factors if p != identity]
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(facs) - 1):
-            a, b = facs[k], facs[k + 1]
-            while True:
-                movable = perms.left_descents(b) - perms.right_descents(a)
-                if not movable:
-                    break
-                i = min(movable)
-                a = perms.swap_values(a, i)
-                b = perms.swap_positions(b, i)
-                changed = True
-            facs[k], facs[k + 1] = a, b
-        if changed:
-            facs = [p for p in facs if p != identity]
-    return facs
+    moved = False
+    i = 0
+    last = len(b) - 2
+    while i <= last:
+        if b[i] > b[i + 1] and ai[i] < ai[i + 1]:
+            p, q = ai[i], ai[i + 1]
+            a[p], a[q] = i + 1, i
+            ai[i], ai[i + 1] = q, p
+            u, v = b[i], b[i + 1]
+            b[i], b[i + 1] = v, u
+            bi[u], bi[v] = i + 1, i
+            moved = True
+            if i:
+                i -= 1
+        else:
+            i += 1
+    return moved
+
+
+def _left_weighted(factors: list[Perm], n: int) -> list[Perm]:
+    """The left-weighted factor sequence of a product of simple factors.
+
+    Thurston's incremental right multiplication (Epstein et al., *Word
+    Processing in Groups*, 1992, ch. 9; El-Rifai and Morton, "Algorithms
+    for positive braids", Quart. J. Math. 45, 1994): the factors are
+    appended one at a time to a sequence that is already left weighted.
+    After an append only the new pair can be out of order; making it left
+    weighted grows its left factor, which can unsettle the pair before
+    it, so the walk goes leftward and stops at the first pair that was
+    left weighted as it stood.  The pairs it leaves behind stay left
+    weighted, so identity factors can only collect at the right end,
+    where they are dropped.
+    """
+    identity = list(range(n))
+    facs: list[list[int]] = []
+    invs: list[list[int]] = []
+    for p in factors:
+        facs.append(list(p))
+        invs.append(list(perms.inverse(p)))
+        k = len(facs) - 1
+        while k and _transfer(facs[k - 1], invs[k - 1], facs[k], invs[k]):
+            k -= 1
+        while facs and facs[-1] == identity:
+            facs.pop()
+            invs.pop()
+    return [tuple(f) for f in facs]
 
 
 def normal_form(w: BraidWord) -> NormalForm:
@@ -111,25 +147,25 @@ def normal_form(w: BraidWord) -> NormalForm:
     return NormalForm(n, total, tuple(factors))
 
 
-@lru_cache(maxsize=1 << 20)
-def _cached_form(w: BraidWord) -> NormalForm:
-    return normal_form(w)
+@lru_cache(maxsize=1 << 16)
+def _cached_key(w: BraidWord) -> str:
+    nf = normal_form(w)
+    body = "|".join(
+        ",".join(str(v + 1) for v in f) for f in nf.factors
+    )
+    return f"{nf.n}:{nf.delta_power}:{body}"
 
 
 def equal(u: BraidWord, v: BraidWord) -> bool:
     """Decide equality in the braid group via normal forms."""
     if u.n != v.n:
         return False
-    return _cached_form(u) == _cached_form(v)
+    return _cached_key(u) == _cached_key(v)
 
 
 def canonical_key(w: BraidWord) -> str:
     """Stable text key, equal for exactly the words equal as braids."""
-    nf = _cached_form(w)
-    body = "|".join(
-        ",".join(str(v + 1) for v in f) for f in nf.factors
-    )
-    return f"{nf.n}:{nf.delta_power}:{body}"
+    return _cached_key(w)
 
 
 def _factor_word(p: Perm) -> list[tuple[int, int]]:

@@ -118,7 +118,7 @@ def validate_map(m: CombMap) -> None:
         if m.outer is None:
             raise MapError("fixed mode requires an outer face designation")
         for comp, idx in m.outer.items():
-            if not isinstance(idx, int) or idx < 0:
+            if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
                 raise MapError(f"outer face index for component {comp!r} must be a nonnegative integer")
 
 
@@ -474,8 +474,8 @@ def map_from_json(data: dict) -> CombMap:
         mode = data.get("mode", "free")
         outer = data.get("outer")
         if outer is not None:
-            outer = {str(k): int(v) for k, v in outer.items()}
-    except (KeyError, IndexError, TypeError) as exc:
+            outer = {str(k): v for k, v in outer.items()}
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise MapError(f"malformed map JSON: {exc}") from None
     m = CombMap(vertices, edges, rotations, mode, outer)
     validate_map(m)

@@ -95,11 +95,11 @@ def format_word(w: BraidWord) -> str:
 def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     """Cancel adjacent inverse letter pairs until none remain."""
     out: list[Letter] = []
-    for index, sign in letters:
-        if out and out[-1][0] == index and out[-1][1] == -sign:
+    for letter in letters:
+        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
             out.pop()
         else:
-            out.append((index, sign))
+            out.append(letter)
     return tuple(out)
 
 

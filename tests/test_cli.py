@@ -274,3 +274,30 @@ def test_bad_json_is_an_input_error(capsys):
 def test_usage_error_raises_systemexit():
     with pytest.raises(SystemExit):
         main([])
+
+
+ONE_PUNCTURE = {"vertices": [{"id": "p1", "kind": "puncture"}], "edges": [],
+                "rotations": {}, "mode": "fixed"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("orbit", '{"strands": 3, "factors": [1]}'),
+    ("orbit", '{"strands": 3, "factors": "12"}'),
+    ("hurwitz-apply", FACT, "[true]"),
+    ("hurwitz-apply", '{"strands": 3, "factors": ["1", "2", "1"]}', "[1.5]"),
+    ("semiframe", json.dumps(dict(ONE_PUNCTURE, outer={"p1": "x"}))),
+])
+def test_malformed_json_values_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_a_failed_replay_exits_inconclusive(capsys, monkeypatch):
+    monkeypatch.setattr("braidkit.hurwitz.apply_sequence", lambda f, moves: f)
+    code, out, err = run(capsys, "hurwitz-path", FACT, FACT_MOVED)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1

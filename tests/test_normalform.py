@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidkit import perms
 from braidkit.freegroup import words_act_equally
@@ -127,3 +129,35 @@ def test_key_separates_known_distinct_braids():
 def test_inverse_word_has_opposite_key_behavior():
     w = parse_word("1 2 -1 2 2", 3)
     assert equal(compose(w, inverse(w)), BraidWord(3))
+
+
+@st.composite
+def braid_words(draw):
+    n = draw(st.integers(2, 8))
+    letter = st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1)))
+    return BraidWord(n, tuple(draw(st.lists(letter, max_size=150))))
+
+
+def assert_normal(nf):
+    identity, w0 = perms.identity(nf.n), perms.longest(nf.n)
+    for f in nf.factors:
+        assert f not in (identity, w0)
+    for a, b in zip(nf.factors, nf.factors[1:]):
+        assert perms.left_descents(b) <= perms.right_descents(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(braid_words())
+def test_normal_form_is_left_weighted_and_spells_the_braid(w):
+    nf = normal_form(w)
+    assert_normal(nf)
+    if len(w) <= 14:
+        assert words_act_equally(to_word(nf), w)
+
+
+def test_long_word_normal_form_completes():
+    rng = random.Random(800)
+    w = BraidWord(4, tuple((rng.randint(1, 3), rng.choice((1, -1))) for _ in range(800)))
+    nf = normal_form(w)
+    assert_normal(nf)
+    assert normal_form(to_word(nf)) == nf
