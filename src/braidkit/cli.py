@@ -6,7 +6,8 @@ Exit codes follow one contract across subcommands:
 * 1: a conclusive negative verdict (NotEqual / Reject / search space
      exhausted without a hit)
 * 2: inconclusive, a depth or size cap fired before the question settled,
-     or a search fault (a found path that fails its replay) stopped it
+     or a fault stopped it: a found path that fails its replay, or any
+     other internal error
 * 3: malformed input, argparse usage errors included
 
 File arguments also accept ``-`` for standard input, or an inline JSON
@@ -37,7 +38,7 @@ from .hurwitz import (
     move_from_int,
     orbit_explore,
 )
-from .normalform import canonical_key, normal_form
+from .normalform import canonical_key, normal_form, normal_form_key
 from .planar import MapError, check_semiframe, map_from_json
 from .rewriting import equivalence_class, hurwitz_path_positive
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suites
@@ -102,7 +103,7 @@ def cmd_nf(args) -> int:
         "deltaPower": nf.delta_power,
         "factors": [[v + 1 for v in p] for p in nf.factors],
         "canonicalLength": nf.canonical_length,
-        "key": canonical_key(w),
+        "key": normal_form_key(nf),
     }
     _emit(payload, payload["key"], args.format)
     return 0
@@ -361,6 +362,10 @@ def main(argv=None) -> int:
     except ReplayError as exc:
         # A search fault, not a verdict: no answer was reached.
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # Any other crash is a fault too; exit 1 would read as a verdict.
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
         return 2
 
 

@@ -6,18 +6,24 @@ The move R_k replaces the adjacent factors (t_k, t_{k+1}) by
 unchanged, so the moves act on the set of factorizations of a fixed
 braid.  Positions are 1-based.
 
-Factorizations are compared by `tuple_key`, the per-factor canonical
-keys joined with ";": two factorizations share a key exactly when their
-factors are equal as braids position by position.  Orbit and path
-search deduplicate on that key, expand states in a fixed order, and
-sort emitted keys, so their output is reproducible run to run.
+`tuple_key` is the public key of one `Factorization`: the per-factor
+canonical keys joined with ";", so two factorizations share a key
+exactly when their factors are equal as braids position by position.
+Orbit and path search do not build a `Factorization` per state.  Each
+search interns the factors it meets as small ints keyed by canonical
+key, and a state is the tuple of its factors' ids, so two states are
+equal exactly when their tuple keys are.  A move looks the pair it
+leaves up in a memoized table, one per direction, that `apply_move`
+fills once per distinct pair of factors.  States are expanded in a
+fixed order, and emitted keys are joined back into `tuple_key` text and
+sorted, so output is reproducible run to run.
 
 Every breadth-first search in the package, these two and the relation
 rewrites of `rewriting`, grows a `SearchTree`: one visited map with
 parent links, one size cap that sets `capped` only when it turns an
 unvisited state away, and one parent walk for reading a path back.
-Every path a search reports is replayed first, and a mismatch raises
-`ReplayError`.
+Every path a search reports is replayed first on real factorizations
+or band words, and a mismatch raises `ReplayError`.
 
 Serialized moves are signed integers: k stands for R_k and -k for
 R_k^-1.
@@ -108,50 +114,49 @@ def check_replay(got, want, what: str) -> None:
 class SearchTree:
     """A breadth-first search tree, the engine behind every search here.
 
-    `neighbors(state)` yields (neighbor, step) pairs in a fixed order and
-    `key(state)` names a state for deduplication.  `parents` maps each
-    visited key to (parent key, step), with (None, None) at the root;
-    `frontier` holds the (key, state) pairs of the newest layer, and
-    `capped` records that a size cap turned an unvisited neighbor away.
+    States are hashable and are their own deduplication keys.
+    `neighbors(state)` yields (neighbor, step) pairs in a fixed order.
+    `parents` maps each visited state to (parent, step), with
+    (None, None) at the root; `frontier` holds the states of the newest
+    layer, and `capped` records that a size cap turned an unvisited
+    neighbor away.
     """
 
-    def __init__(self, root, key, neighbors) -> None:
-        self.key = key
+    def __init__(self, root, neighbors) -> None:
+        self.root = root
         self.neighbors = neighbors
-        self.root_key = key(root)
-        self.parents = {self.root_key: (None, None)}
-        self.frontier = [(self.root_key, root)]
+        self.parents = {root: (None, None)}
+        self.frontier = [root]
         self.depth = 0
         self.capped = False
 
     def grow(self, size_cap: int | None):
         """Expand the frontier by one layer, keeping the tree within size_cap.
 
-        Yields each newly admitted (key, state), and None once every
-        neighbor of a frontier state has been examined, so a caller can
-        stop between states.  The frontier and depth advance only when
-        the whole layer has been expanded.
+        Yields each newly admitted state, and None once every neighbor of
+        a frontier state has been examined, so a caller can stop between
+        states.  The frontier and depth advance only when the whole layer
+        has been expanded.
         """
-        parents, key, neighbors = self.parents, self.key, self.neighbors
+        parents, neighbors = self.parents, self.neighbors
         limit = math.inf if size_cap is None else size_cap
         nxt = []
-        for at, state in self.frontier:
-            for nb, step in neighbors(state):
-                nb_key = key(nb)
-                if nb_key in parents:
+        for at in self.frontier:
+            for nb, step in neighbors(at):
+                if nb in parents:
                     continue
                 if len(parents) >= limit:
                     self.capped = True
                     continue
-                parents[nb_key] = (at, step)
-                nxt.append((nb_key, nb))
-                yield nb_key, nb
+                parents[nb] = (at, step)
+                nxt.append(nb)
+                yield nb
             yield None
         self.frontier = nxt
         self.depth += 1
 
     def path(self, at) -> list:
-        """The steps leading from the root to the visited key `at`."""
+        """The steps leading from the root to the visited state `at`."""
         steps = []
         parent, step = self.parents[at]
         while parent is not None:
@@ -161,12 +166,54 @@ class SearchTree:
         return steps
 
 
-def _moves(f: Factorization):
-    """Each single move on f as (result, move), in search order."""
-    for k in range(1, len(f)):
-        for direction in (1, -1):
-            move = Move(k, direction)
-            yield apply_move(f, move), move
+class _FactorTable:
+    """The factors one search meets, interned as small ints.
+
+    A factor's id stands for its braid: ids are keyed by `canonical_key`,
+    and the word kept for an id is the first freely reduced word met for
+    it.  A search state is the tuple of its factors' ids.  Two move
+    tables, `conjugated` for R_k ((a, b) -> (a b a^-1, a)) and
+    `conjugated_back` for R_k^-1 ((a, b) -> (b, b^-1 a b)), map a pair
+    of ids to the pair the move leaves.  An entry is filled on first use
+    by `apply_move` on the two words, so each distinct pair costs one
+    word composition and one key per direction.
+    """
+
+    def __init__(self, n: int, length: int) -> None:
+        self.n = n
+        self.ids: dict[str, int] = {}
+        self.words: list = []
+        self.conjugated: dict[tuple[int, int], tuple[int, int]] = {}
+        self.conjugated_back: dict[tuple[int, int], tuple[int, int]] = {}
+        self.moves = [Move(k, d) for k in range(1, length) for d in (1, -1)]
+
+    def state(self, f: Factorization) -> tuple[int, ...]:
+        """The ids of f's factors, interning any factor not met before."""
+        ids, words = self.ids, self.words
+        out = []
+        for word, key in zip(f.factors, f.factor_keys):
+            fid = ids.setdefault(key, len(ids))
+            if fid == len(words):
+                words.append(word)
+            out.append(fid)
+        return tuple(out)
+
+    def _moved(self, pair: tuple[int, int], direction: int) -> tuple[int, int]:
+        a, b = pair
+        moved = apply_move(Factorization(self.n, (self.words[a], self.words[b])),
+                           Move(1, direction))
+        table = self.conjugated if direction == 1 else self.conjugated_back
+        table[pair] = self.state(moved)
+        return table[pair]
+
+    def neighbors(self, state: tuple[int, ...]):
+        """Each single move on the state as (result, move), in search order."""
+        fwd, bwd, moves = self.conjugated, self.conjugated_back, self.moves
+        for i in range(len(state) - 1):
+            pair = state[i : i + 2]
+            head, tail = state[:i], state[i + 2 :]
+            yield head + (fwd.get(pair) or self._moved(pair, 1)) + tail, moves[2 * i]
+            yield head + (bwd.get(pair) or self._moved(pair, -1)) + tail, moves[2 * i + 1]
 
 
 @dataclass(frozen=True)
@@ -198,7 +245,8 @@ def orbit_explore(
     """
     if size_cap is not None and size_cap < 1:
         return OrbitReport(0, (), True, ())
-    tree = SearchTree(f, tuple_key, _moves)
+    table = _FactorTable(f.n, len(f))
+    tree = SearchTree(table.state(f), table.neighbors)
     depth_counts = [1]
     while tree.frontier:
         if depth_cap is not None and tree.depth >= depth_cap:
@@ -214,9 +262,10 @@ def orbit_explore(
             pass
         if tree.frontier:
             depth_counts.append(len(tree.frontier))
-    return OrbitReport(
-        len(tree.parents), tuple(depth_counts), tree.capped, tuple(sorted(tree.parents))
-    )
+    # Ids were handed out in insertion order, so they index the key list.
+    factor_keys = list(table.ids)
+    keys = sorted(";".join(factor_keys[i] for i in state) for state in tree.parents)
+    return OrbitReport(len(tree.parents), tuple(depth_counts), tree.capped, tuple(keys))
 
 
 @dataclass(frozen=True)
@@ -269,9 +318,10 @@ def find_path(
         check_replay(replayed.factor_keys, f2.factor_keys, "move path")
         return PathResult("found", tuple(moves), visited, False)
 
-    fwd = SearchTree(f1, tuple_key, _moves)
-    bwd = SearchTree(f2, tuple_key, _moves)
-    if fwd.root_key == bwd.root_key:
+    table = _FactorTable(f1.n, len(f1))
+    fwd = SearchTree(table.state(f1), table.neighbors)
+    bwd = SearchTree(table.state(f2), table.neighbors)
+    if fwd.root == bwd.root:
         return finish([], 1)
     if f1.product_key != f2.product_key:
         return PathResult("not_comparable", None, 0, False)
@@ -286,14 +336,14 @@ def find_path(
         else:
             tree, other = bwd, fwd
         cap = None if size_cap is None else size_cap - len(other.parents)
-        meet: str | None = None
+        meet = None
         # The state on which the trees meet is expanded to the end.
-        for item in tree.grow(cap):
-            if item is None:
+        for state in tree.grow(cap):
+            if state is None:
                 if meet is not None:
                     break
-            elif meet is None and item[0] in other.parents:
-                meet = item[0]
+            elif meet is None and state in other.parents:
+                meet = state
         if meet is not None:
             moves = fwd.path(meet) + [m.inverted() for m in reversed(bwd.path(meet))]
             return finish(moves, len(fwd.parents) + len(bwd.parents))

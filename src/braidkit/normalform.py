@@ -147,13 +147,17 @@ def normal_form(w: BraidWord) -> NormalForm:
     return NormalForm(n, total, tuple(factors))
 
 
-@lru_cache(maxsize=1 << 16)
-def _cached_key(w: BraidWord) -> str:
-    nf = normal_form(w)
+def normal_form_key(nf: NormalForm) -> str:
+    """The canonical key of a normal form: "n:power:" and 1-based factors."""
     body = "|".join(
         ",".join(str(v + 1) for v in f) for f in nf.factors
     )
     return f"{nf.n}:{nf.delta_power}:{body}"
+
+
+@lru_cache(maxsize=1 << 16)
+def _cached_key(w: BraidWord) -> str:
+    return normal_form_key(normal_form(w))
 
 
 def equal(u: BraidWord, v: BraidWord) -> bool:

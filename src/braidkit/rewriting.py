@@ -5,9 +5,13 @@ into one another by single relation applications on adjacent letters,
 staying positive throughout.  This module performs that search and
 translates each relation step into the Hurwitz move that realizes it on
 the expanded factorizations.  Closures and relation paths are grown by
-the breadth-first `SearchTree` of `hurwitz`, with `neighbors` as the
-expansion and the letter sequence as the key; compiled paths come back
-as its `PathResult`.
+the breadth-first `SearchTree` of `hurwitz` over packed words: each
+letter a_{t,s} is its index in `all_generators`, which keeps the (t, s)
+order, so sorting packed words sorts the words.  A per-n table, built
+once from `classify_pair` and `apply_step`, lists the rewrites of every
+ordered letter pair, and the public `neighbors` reads the same table,
+so the rules have one source.  `BandWord`s are built only for results;
+compiled paths come back as the `PathResult` of `hurwitz`.
 
 A step names the 1-based position of the left letter of the rewritten
 pair and one of seven rules.  The chain relation's three equal products
@@ -22,12 +26,13 @@ R_k^-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import lru_cache
 
 from .bands import (
     BandError,
     BandWord,
     PairClass,
+    all_generators,
     band_factorization,
     chain_forms,
     chain_triple,
@@ -78,6 +83,48 @@ def apply_step(w: BandWord, step: RelationStep) -> BandWord:
     return BandWord(w.n, w.letters[:i] + pair + w.letters[i + 2 :])
 
 
+def _pack(w: BandWord) -> tuple[int, ...]:
+    """Each letter a_{t,s} as its index in `all_generators`, which keeps the (t, s) order."""
+    return tuple((a.t - 1) * (a.t - 2) // 2 + a.s - 1 for a in w.letters)
+
+
+@lru_cache(maxsize=None)
+def _letter_table(n: int):
+    """The generators on n strands and the rewrites of each ordered pair.
+
+    `pairs[x][y]` lists the (packed replacement pair, rule) rewrites of
+    the packed pair x y in search order (the order of RULES), read off
+    `classify_pair` and `apply_step` once.
+    """
+    gens = all_generators(n)
+    pairs = []
+    for x in gens:
+        row = []
+        for y in gens:
+            cls, pair = classify_pair(x, y), BandWord(n, (x, y))
+            row.append(tuple((_pack(apply_step(pair, RelationStep(1, rule))), rule)
+                             for rule in RULES if _RULE_SOURCE[rule] is cls))
+        pairs.append(row)
+    return gens, pairs
+
+
+def _unpack(n: int, word: tuple[int, ...]) -> BandWord:
+    gens = _letter_table(n)[0]
+    return BandWord(n, tuple(map(gens.__getitem__, word)))
+
+
+def _rewrites(n: int):
+    """The expansion of packed words: each rewrite as (word, (position, rule))."""
+    pairs = _letter_table(n)[1]
+
+    def expand(word: tuple[int, ...]):
+        for i in range(len(word) - 1):
+            for pair, rule in pairs[word[i]][word[i + 1]]:
+                yield word[:i] + pair + word[i + 2 :], (i + 1, rule)
+
+    return expand
+
+
 def neighbors(w: BandWord) -> tuple[tuple[BandWord, RelationStep], ...]:
     """Every single-relation rewrite of w, with the step that produces it.
 
@@ -85,24 +132,9 @@ def neighbors(w: BandWord) -> tuple[tuple[BandWord, RelationStep], ...]:
     chain pair can move to the other two forms of its relation, a
     commuting pair swaps, an interleaved pair contributes nothing.
     """
-    out: list[tuple[BandWord, RelationStep]] = []
-    for i in range(len(w.letters) - 1):
-        cls = classify_pair(w.letters[i], w.letters[i + 1])
-        if cls is PairClass.INTERLEAVED:
-            continue
-        if cls is PairClass.COMMUTING:
-            rules = ("Comm",)
-        else:
-            src = cls.value[-1]
-            rules = tuple(r for r in RULES if r.startswith(src) and r != "Comm")
-        for rule in rules:
-            step = RelationStep(i + 1, rule)
-            out.append((apply_step(w, step), step))
-    return tuple(out)
-
-
-def _word_key(w: BandWord) -> tuple[tuple[int, int], ...]:
-    return tuple((a.t, a.s) for a in w.letters)
+    return tuple(
+        (_unpack(w.n, word), RelationStep(*step)) for word, step in _rewrites(w.n)(_pack(w))
+    )
 
 
 @dataclass(frozen=True)
@@ -130,13 +162,12 @@ def equivalence_class(w: BandWord, size_cap: int = 10**6) -> ClosureResult:
     """
     if size_cap < 1:
         raise BandError("size_cap must be >= 1")
-    tree = SearchTree(w, _word_key, neighbors)
-    members = {tree.root_key: w}
+    tree = SearchTree(_pack(w), _rewrites(w.n))
     while tree.frontier:
         for _ in tree.grow(size_cap):
             pass
-        members.update(tree.frontier)
-    return ClosureResult(tuple(members[k] for k in sorted(members)), tree.capped)
+    words = tuple(_unpack(w.n, word) for word in sorted(tree.parents))
+    return ClosureResult(words, tree.capped)
 
 
 @dataclass(frozen=True)
@@ -176,16 +207,17 @@ def relation_path(w1: BandWord, w2: BandWord, size_cap: int = 10**6) -> Relation
         raise BandError(f"strand counts differ: {w1.n} vs {w2.n}")
     if len(w1) != len(w2):
         return RelationPathResult("not_equal", None, 0, False)
-    target = _word_key(w2)
-    tree = SearchTree(w1, _word_key, neighbors)
-    if tree.root_key == target:
+    target = _pack(w2)
+    tree = SearchTree(_pack(w1), _rewrites(w1.n))
+    if tree.root == target:
         return RelationPathResult("found", RewritePath(w1, w2, ()), 1, False)
     while tree.frontier:
-        tree.frontier.sort(key=itemgetter(0))
-        for item in tree.grow(size_cap):
-            if item is not None and item[0] == target:
-                path = RewritePath(w1, w2, tuple(tree.path(target)))
-                check_replay(_word_key(path.replay()), target, "rewrite path")
+        tree.frontier.sort()
+        for word in tree.grow(size_cap):
+            if word == target:
+                steps = tuple(RelationStep(*step) for step in tree.path(target))
+                path = RewritePath(w1, w2, steps)
+                check_replay(_pack(path.replay()), target, "rewrite path")
                 return RelationPathResult("found", path, len(tree.parents), tree.capped)
     status = "inconclusive" if tree.capped else "not_equal"
     return RelationPathResult(status, None, len(tree.parents), tree.capped)

@@ -301,3 +301,33 @@ def test_a_failed_replay_exits_inconclusive(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert len(err.splitlines()) == 1
+
+
+def test_a_crash_exits_inconclusive_not_negative(capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("braidkit.cli.cmd_eq", crash)
+    code, out, err = run(capsys, "eq", "1", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: internal error: RuntimeError('boom')\n"
+
+
+def test_nf_computes_the_normal_form_once(capsys, monkeypatch):
+    from braidkit import cli, normalform
+
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return real(w)
+
+    real = normalform.normal_form
+    normalform._cached_key.cache_clear()
+    monkeypatch.setattr(normalform, "normal_form", counted)
+    monkeypatch.setattr(cli, "normal_form", counted)
+    code, out, err = run(capsys, "nf", "--strands", "4", "1 2 -3 1 2 2 -1")
+    assert code == 0 and err == ""
+    assert out == "4:-1:1,4,3,2|2,4,1,3|2,1,3,4|3,1,2,4\n"
+    assert len(calls) == 1
