@@ -191,16 +191,6 @@ class RelationReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def as_dict(self) -> dict:
-        return {
-            "strands": self.n,
-            "chainTriples": self.chain_triples,
-            "chainEqualities": self.chain_equalities,
-            "commutingPairs": self.commuting_pairs,
-            "failures": list(self.failures),
-            "ok": self.ok,
-        }
-
 
 def band_relations_hold(n: int) -> RelationReport:
     """Check every chain-relation and commuting-relation instance on n strands.

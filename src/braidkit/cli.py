@@ -25,7 +25,6 @@ import sys
 from .bands import (
     BandError,
     Factorization,
-    band_factorization,
     delta_squared_word,
     expand_word,
     parse_band_word,
@@ -41,7 +40,7 @@ from .hurwitz import (
 from .normalform import canonical_key, normal_form, normal_form_key
 from .planar import MapError, check_semiframe, map_from_json
 from .rewriting import equivalence_class, hurwitz_path_positive
-from .verify import DEFAULT_SEED, SUITE_NAMES, run_suites
+from .verify import DEFAULT_SEED, SUITE_NAMES, run_suite
 from .words import WordError, conjugate, format_word, parse_word
 
 InputError = (WordError, BandError, MoveError, MapError)
@@ -87,12 +86,23 @@ def _emit(payload: dict, text: str, fmt: str) -> None:
         print(text)
 
 
-def _search_exit(status: str, truncated: bool) -> int:
-    if status == "found":
+_MISSED = {
+    ("not_comparable", False): "not comparable: products differ",
+    ("not_found", True): "not found (caps exhausted)",
+    ("not_found", False): "not found (orbit exhausted)",
+    ("not_equal", False): "not equal (conclusive)",
+    ("inconclusive", True): "inconclusive (size cap exhausted)",
+}
+
+
+def _search_exit(res, fmt: str) -> int:
+    """Print a path search's result: exit 0 if found, 2 if a cap fired, else 1."""
+    payload = res.as_dict()
+    if res.status == "found":
+        _emit(payload, "found: " + " ".join(map(str, payload["moves"])), fmt)
         return 0
-    if truncated:
-        return 2
-    return 1
+    _emit(payload, _MISSED[res.status, res.truncated], fmt)
+    return 2 if res.truncated else 1
 
 
 def cmd_nf(args) -> int:
@@ -153,19 +163,7 @@ def cmd_hurwitz_apply(args) -> int:
 def cmd_hurwitz_path(args) -> int:
     f1 = _factorization_from_json(_load_json_arg(args.source))
     f2 = _factorization_from_json(_load_json_arg(args.target))
-    res = find_path(f1, f2, args.depth_cap, args.size_cap)
-    if res.status == "found":
-        text = "found: " + " ".join(str(v) for v in res.as_dict()["moves"])
-    elif res.status == "not_comparable":
-        text = "not comparable: products differ"
-    elif res.truncated:
-        text = "not found (caps exhausted)"
-    else:
-        text = "not found (orbit exhausted)"
-    _emit(res.as_dict(), text, args.format)
-    if res.status == "not_comparable":
-        return 1
-    return _search_exit(res.status, res.truncated)
+    return _search_exit(find_path(f1, f2, args.depth_cap, args.size_cap), args.format)
 
 
 def cmd_orbit(args) -> int:
@@ -197,17 +195,7 @@ def cmd_positive_path(args) -> int:
     w1 = parse_band_word(args.word1, args.strands)
     w2 = parse_band_word(args.word2, args.strands)
     cap = 10**6 if args.size_cap is None else args.size_cap
-    res = hurwitz_path_positive(w1, w2, size_cap=cap)
-    if res.status == "found":
-        text = "found: " + " ".join(str(v) for v in res.as_dict()["moves"])
-    elif res.status == "not_equal":
-        text = "not equal (conclusive)"
-    else:
-        text = "inconclusive (size cap exhausted)"
-    _emit(res.as_dict(), text, args.format)
-    if res.status == "found":
-        return 0
-    return 2 if res.status == "inconclusive" else 1
+    return _search_exit(hurwitz_path_positive(w1, w2, size_cap=cap), args.format)
 
 
 def cmd_semiframe(args) -> int:
@@ -227,7 +215,8 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in SUITE_NAMES:
             raise BandError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    reports = run_suites(names, args.strands, args.seed, args.depth_cap, args.size_cap)
+    reports = [run_suite(name, args.strands, args.seed, args.depth_cap, args.size_cap)
+               for name in names]
     hard_fail = any(not r["ok"] and not r["inconclusive"] for r in reports)
     inconclusive = any(r["inconclusive"] for r in reports)
     lines = []

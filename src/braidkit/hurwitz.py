@@ -12,18 +12,19 @@ exactly when their factors are equal as braids position by position.
 Orbit and path search do not build a `Factorization` per state.  Each
 search interns the factors it meets as small ints keyed by canonical
 key, and a state is the tuple of its factors' ids, so two states are
-equal exactly when their tuple keys are.  A move looks the pair it
-leaves up in a memoized table, one per direction, that `apply_move`
-fills once per distinct pair of factors.  States are expanded in a
-fixed order, and emitted keys are joined back into `tuple_key` text and
-sorted, so output is reproducible run to run.
+equal exactly when their tuple keys are.  One memoized move table maps
+a pair of ids to the pairs R_k and R_k^-1 leave, and `apply_move`
+fills an entry once per distinct pair of factors.  Emitted keys are
+joined back into `tuple_key` text and sorted, so output is
+reproducible run to run.
 
 Every breadth-first search in the package, these two and the relation
-rewrites of `rewriting`, grows a `SearchTree`: one visited map with
-parent links, one size cap that sets `capped` only when it turns an
-unvisited state away, and one parent walk for reading a path back.
-Every path a search reports is replayed first on real factorizations
-or band words, and a mismatch raises `ReplayError`.
+rewrites of `rewriting`, grows a `SearchTree` whose states change one
+adjacent pair at a time through the caller's `pairs` table: one
+visited map with parent links, one size cap that sets `capped` only
+when it turns an unvisited state away, and one parent walk for reading
+a path back.  Every path a search reports is replayed first on real
+factorizations or band words, and a mismatch raises `ReplayError`.
 
 Serialized moves are signed integers: k stands for R_k and -k for
 R_k^-1.
@@ -114,21 +115,29 @@ def check_replay(got, want, what: str) -> None:
 class SearchTree:
     """A breadth-first search tree, the engine behind every search here.
 
-    States are hashable and are their own deduplication keys.
-    `neighbors(state)` yields (neighbor, step) pairs in a fixed order.
-    `parents` maps each visited state to (parent, step), with
-    (None, None) at the root; `frontier` holds the states of the newest
-    layer, and `capped` records that a size cap turned an unvisited
-    neighbor away.
+    States are tuples and are their own deduplication keys.  At each
+    position, left to right, `pairs(state[i:i+2])` lists the (replacement
+    pair, label) rewrites in search order; a step is (1-based position,
+    label).  `parents` maps each visited state to (parent, step), with
+    (None, None) at the root; `frontier` holds the newest layer, and
+    `capped` records that a size cap turned an unvisited neighbor away.
     """
 
-    def __init__(self, root, neighbors) -> None:
+    def __init__(self, root: tuple, pairs) -> None:
         self.root = root
-        self.neighbors = neighbors
+        self.pairs = pairs
         self.parents = {root: (None, None)}
         self.frontier = [root]
         self.depth = 0
         self.capped = False
+
+    def expand(self, state: tuple):
+        """Each single pair rewrite of state as (neighbor, step), in search order."""
+        pairs = self.pairs
+        for i in range(len(state) - 1):
+            head, tail = state[:i], state[i + 2 :]
+            for pair, label in pairs(state[i : i + 2]):
+                yield head + pair + tail, (i + 1, label)
 
     def grow(self, size_cap: int | None):
         """Expand the frontier by one layer, keeping the tree within size_cap.
@@ -138,11 +147,11 @@ class SearchTree:
         states.  The frontier and depth advance only when the whole layer
         has been expanded.
         """
-        parents, neighbors = self.parents, self.neighbors
+        parents, expand = self.parents, self.expand
         limit = math.inf if size_cap is None else size_cap
         nxt = []
         for at in self.frontier:
-            for nb, step in neighbors(at):
+            for nb, step in expand(at):
                 if nb in parents:
                     continue
                 if len(parents) >= limit:
@@ -166,26 +175,22 @@ class SearchTree:
         return steps
 
 
-class _FactorTable:
-    """The factors one search meets, interned as small ints.
+class _FactorTable(dict):
+    """The factors one search meets, interned as small ints, and its move table.
 
     A factor's id stands for its braid: ids are keyed by `canonical_key`,
     and the word kept for an id is the first freely reduced word met for
-    it.  A search state is the tuple of its factors' ids.  Two move
-    tables, `conjugated` for R_k ((a, b) -> (a b a^-1, a)) and
-    `conjugated_back` for R_k^-1 ((a, b) -> (b, b^-1 a b)), map a pair
-    of ids to the pair the move leaves.  An entry is filled on first use
-    by `apply_move` on the two words, so each distinct pair costs one
-    word composition and one key per direction.
+    it.  As a dict the table maps a pair of ids (a, b) to
+    (((a b a^-1, a), 1), ((b, b^-1 a b), -1)), the pairs R_k and R_k^-1
+    leave; its `__getitem__` is the tree's `pairs`.  A missing entry is
+    filled by `apply_move` on the two words.
     """
 
-    def __init__(self, n: int, length: int) -> None:
+    def __init__(self, n: int) -> None:
+        super().__init__()
         self.n = n
         self.ids: dict[str, int] = {}
         self.words: list = []
-        self.conjugated: dict[tuple[int, int], tuple[int, int]] = {}
-        self.conjugated_back: dict[tuple[int, int], tuple[int, int]] = {}
-        self.moves = [Move(k, d) for k in range(1, length) for d in (1, -1)]
 
     def state(self, f: Factorization) -> tuple[int, ...]:
         """The ids of f's factors, interning any factor not met before."""
@@ -198,22 +203,12 @@ class _FactorTable:
             out.append(fid)
         return tuple(out)
 
-    def _moved(self, pair: tuple[int, int], direction: int) -> tuple[int, int]:
+    def __missing__(self, pair: tuple[int, int]):
         a, b = pair
-        moved = apply_move(Factorization(self.n, (self.words[a], self.words[b])),
-                           Move(1, direction))
-        table = self.conjugated if direction == 1 else self.conjugated_back
-        table[pair] = self.state(moved)
-        return table[pair]
-
-    def neighbors(self, state: tuple[int, ...]):
-        """Each single move on the state as (result, move), in search order."""
-        fwd, bwd, moves = self.conjugated, self.conjugated_back, self.moves
-        for i in range(len(state) - 1):
-            pair = state[i : i + 2]
-            head, tail = state[:i], state[i + 2 :]
-            yield head + (fwd.get(pair) or self._moved(pair, 1)) + tail, moves[2 * i]
-            yield head + (bwd.get(pair) or self._moved(pair, -1)) + tail, moves[2 * i + 1]
+        f = Factorization(self.n, (self.words[a], self.words[b]))
+        moved = tuple((self.state(apply_move(f, Move(1, d))), d) for d in (1, -1))
+        self[pair] = moved
+        return moved
 
 
 @dataclass(frozen=True)
@@ -245,8 +240,8 @@ def orbit_explore(
     """
     if size_cap is not None and size_cap < 1:
         return OrbitReport(0, (), True, ())
-    table = _FactorTable(f.n, len(f))
-    tree = SearchTree(table.state(f), table.neighbors)
+    table = _FactorTable(f.n)
+    tree = SearchTree(table.state(f), table.__getitem__)
     depth_counts = [1]
     while tree.frontier:
         if depth_cap is not None and tree.depth >= depth_cap:
@@ -318,9 +313,9 @@ def find_path(
         check_replay(replayed.factor_keys, f2.factor_keys, "move path")
         return PathResult("found", tuple(moves), visited, False)
 
-    table = _FactorTable(f1.n, len(f1))
-    fwd = SearchTree(table.state(f1), table.neighbors)
-    bwd = SearchTree(table.state(f2), table.neighbors)
+    table = _FactorTable(f1.n)
+    fwd = SearchTree(table.state(f1), table.__getitem__)
+    bwd = SearchTree(table.state(f2), table.__getitem__)
     if fwd.root == bwd.root:
         return finish([], 1)
     if f1.product_key != f2.product_key:
@@ -345,7 +340,8 @@ def find_path(
             elif meet is None and state in other.parents:
                 meet = state
         if meet is not None:
-            moves = fwd.path(meet) + [m.inverted() for m in reversed(bwd.path(meet))]
+            moves = [Move(*step) for step in fwd.path(meet)]
+            moves += [Move(*step).inverted() for step in reversed(bwd.path(meet))]
             return finish(moves, len(fwd.parents) + len(bwd.parents))
 
     return PathResult(

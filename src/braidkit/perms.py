@@ -14,10 +14,6 @@ def identity(n: int) -> Perm:
     return tuple(range(n))
 
 
-def is_perm(p: Perm) -> bool:
-    return sorted(p) == list(range(len(p)))
-
-
 def compose(p: Perm, q: Perm) -> Perm:
     """Apply p first, then q."""
     return tuple(q[p[i]] for i in range(len(p)))
@@ -40,12 +36,6 @@ def transposition(n: int, i: int) -> Perm:
 def longest(n: int) -> Perm:
     """The order-reversing permutation (the half-twist's image)."""
     return tuple(range(n - 1, -1, -1))
-
-
-def length(p: Perm) -> int:
-    """Coxeter length: number of inversions."""
-    n = len(p)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
 
 
 def left_descents(p: Perm) -> set[int]:
@@ -74,24 +64,3 @@ def is_transposition(p: Perm) -> bool:
     moved = [i for i in range(len(p)) if p[i] != i]
     return len(moved) == 2 and p[moved[0]] == moved[1] and p[moved[1]] == moved[0]
 
-
-def cycle_type(p: Perm) -> tuple[int, ...]:
-    """Sorted cycle lengths, a conjugation invariant."""
-    seen = [False] * len(p)
-    sizes = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        size = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            size += 1
-        sizes.append(size)
-    return tuple(sorted(sizes))
-
-
-def one_line(p: Perm) -> tuple[int, ...]:
-    """1-based one-line notation, for display and serialization."""
-    return tuple(v + 1 for v in p)

@@ -30,9 +30,9 @@ count that component's faces in order of their smallest dart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 
 from .bands import BandGenerator, PairClass, classify_pair
 
@@ -330,6 +330,47 @@ def _chords_cross(x: BandGenerator, y: BandGenerator) -> bool:
     )
 
 
+def _meets_two_crossing_chords(xs: list[int]) -> bool:
+    """Does a chord to the last puncture pass through the crossing of two others?
+
+    The chord from (x_a, x_a^2) to (x_b, x_b^2) is the line
+    y = (x_a + x_b) x - x_a x_b, so three crossing chords meet in one
+    point exactly when their points (x_a + x_b, x_a x_b) are collinear.
+    A chord (a, m) to the last puncture m crosses the chords (c, d) with
+    c < a < d < m.
+    """
+    m = len(xs) - 1
+    for a in range(m):
+        cut = [(c, d) for d in range(a + 1, m) for c in range(a)]
+        p0, p1 = xs[a] + xs[m], xs[a] * xs[m]
+        for i, (c, d) in enumerate(cut):
+            q0, q1 = xs[c] + xs[d] - p0, xs[c] * xs[d] - p1
+            for e, f in cut[i + 1 :]:
+                if (c < e < d < f or e < c < f < d) and (
+                    q0 * (xs[e] * xs[f] - p1) == q1 * (xs[e] + xs[f] - p0)
+                ):
+                    return True
+    return False
+
+
+@lru_cache(maxsize=None)
+def _abscissae(n: int) -> tuple[int, ...]:
+    """Puncture abscissae x_1 < ... < x_n with no three chords concurrent.
+
+    Each x_j is the smallest integer above x_{j-1} for which no chord to
+    puncture j passes through a crossing of two others.  The choice for n
+    is a prefix of the choice for any larger n: x_j = j up to j = 8, then
+    14, 16, 24, 27.
+    """
+    if n == 0:
+        return ()
+    xs = list(_abscissae(n - 1))
+    xs.append(xs[-1] + 1 if xs else 1)
+    while _meets_two_crossing_chords(xs):
+        xs[-1] += 1
+    return tuple(xs)
+
+
 def _face_area(walk: FaceWalk, at_vertex: dict[str, str], coords: dict[str, Point]) -> Fraction:
     total = Fraction(0)
     pts = [coords[at_vertex[d]] for d in walk.darts]
@@ -342,8 +383,10 @@ def _face_area(walk: FaceWalk, at_vertex: dict[str, str], coords: dict[str, Poin
 def band_subgraph_map(n: int, generators) -> CombMap:
     """Draw a set of band generators as a fixed-mode combinatorial map.
 
-    Punctures sit at (j, j^2), so they are in convex position and two
-    chords cross exactly when their index pairs strictly interleave.
+    Puncture j sits at (x_j, x_j^2) with x_j from `_abscissae`, so the
+    punctures are in convex position, two chords cross exactly when their
+    index pairs strictly interleave, and no three chords meet in one
+    point.
     Crossings become degree-4 vertices named c0, c1, ... in coordinate
     order; the segments of the chord a_{t,s} are edges "t:s/0",
     "t:s/1", ...  counted from the s end.  Every component gets its
@@ -354,7 +397,7 @@ def band_subgraph_map(n: int, generators) -> CombMap:
         if a.n != n:
             raise MapError(f"generator {a} has strand count {a.n}, expected {n}")
     coords: dict[str, Point] = {
-        f"p{j}": (Fraction(j), Fraction(j * j)) for j in range(1, n + 1)
+        f"p{j}": (Fraction(x), Fraction(x * x)) for j, x in enumerate(_abscissae(n), 1)
     }
     vertices = [Vertex(f"p{j}", "puncture") for j in range(1, n + 1)]
 
@@ -414,17 +457,12 @@ def band_subgraph_map(n: int, generators) -> CombMap:
     # With counterclockwise rotations the tracing keeps each face on the
     # right of the walk, so bounded faces come out with negative
     # shoelace area and the unbounded face is the positive one.
-    outer: dict[str, int] = {}
-    counters: dict[str, int] = {}
     best: dict[str, tuple[Fraction, int]] = {}
-    for f in faces:
-        i = counters.get(f.component, 0)
-        counters[f.component] = i + 1
+    for (cid, i), f in face_indices(faces).items():
         area = _face_area(f, at_vertex, coords) if f.darts else Fraction(0)
-        if f.component not in best or area > best[f.component][0]:
-            best[f.component] = (area, i)
-    for cid, (_area, i) in best.items():
-        outer[cid] = i
+        if cid not in best or area > best[cid][0]:
+            best[cid] = (area, i)
+    outer = {cid: i for cid, (_area, i) in best.items()}
     return CombMap(tuple(vertices), tuple(edges), rotations, "fixed", outer)
 
 

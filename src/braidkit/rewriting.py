@@ -7,10 +7,12 @@ translates each relation step into the Hurwitz move that realizes it on
 the expanded factorizations.  Closures and relation paths are grown by
 the breadth-first `SearchTree` of `hurwitz` over packed words: each
 letter a_{t,s} is its index in `all_generators`, which keeps the (t, s)
-order, so sorting packed words sorts the words.  A per-n table, built
-once from `classify_pair` and `apply_step`, lists the rewrites of every
-ordered letter pair, and the public `neighbors` reads the same table,
-so the rules have one source.  `BandWord`s are built only for results;
+order, so sorting packed words sorts the words.  A per-n dict, built
+once from `classify_pair` and `apply_step`, maps every ordered pair of
+packed letters to its (replacement pair, rule) rewrites in `RULES`
+order; its `__getitem__` is the tree's `pairs`, and the public
+`neighbors` expands through the same tree, so the rules have one
+source.  `BandWord`s and `RelationStep`s are built only for results;
 compiled paths come back as the `PathResult` of `hurwitz`.
 
 A step names the 1-based position of the left letter of the rewritten
@@ -92,37 +94,27 @@ def _pack(w: BandWord) -> tuple[int, ...]:
 def _letter_table(n: int):
     """The generators on n strands and the rewrites of each ordered pair.
 
-    `pairs[x][y]` lists the (packed replacement pair, rule) rewrites of
+    `pairs[x, y]` lists the (packed replacement pair, rule) rewrites of
     the packed pair x y in search order (the order of RULES), read off
     `classify_pair` and `apply_step` once.
     """
     gens = all_generators(n)
-    pairs = []
-    for x in gens:
-        row = []
-        for y in gens:
+    pairs = {}
+    for i, x in enumerate(gens):
+        for j, y in enumerate(gens):
             cls, pair = classify_pair(x, y), BandWord(n, (x, y))
-            row.append(tuple((_pack(apply_step(pair, RelationStep(1, rule))), rule)
-                             for rule in RULES if _RULE_SOURCE[rule] is cls))
-        pairs.append(row)
+            pairs[i, j] = tuple((_pack(apply_step(pair, RelationStep(1, rule))), rule)
+                                for rule in RULES if _RULE_SOURCE[rule] is cls)
     return gens, pairs
+
+
+def _tree(w: BandWord) -> SearchTree:
+    return SearchTree(_pack(w), _letter_table(w.n)[1].__getitem__)
 
 
 def _unpack(n: int, word: tuple[int, ...]) -> BandWord:
     gens = _letter_table(n)[0]
     return BandWord(n, tuple(map(gens.__getitem__, word)))
-
-
-def _rewrites(n: int):
-    """The expansion of packed words: each rewrite as (word, (position, rule))."""
-    pairs = _letter_table(n)[1]
-
-    def expand(word: tuple[int, ...]):
-        for i in range(len(word) - 1):
-            for pair, rule in pairs[word[i]][word[i + 1]]:
-                yield word[:i] + pair + word[i + 2 :], (i + 1, rule)
-
-    return expand
 
 
 def neighbors(w: BandWord) -> tuple[tuple[BandWord, RelationStep], ...]:
@@ -132,8 +124,9 @@ def neighbors(w: BandWord) -> tuple[tuple[BandWord, RelationStep], ...]:
     chain pair can move to the other two forms of its relation, a
     commuting pair swaps, an interleaved pair contributes nothing.
     """
+    tree = _tree(w)
     return tuple(
-        (_unpack(w.n, word), RelationStep(*step)) for word, step in _rewrites(w.n)(_pack(w))
+        (_unpack(w.n, word), RelationStep(*step)) for word, step in tree.expand(tree.root)
     )
 
 
@@ -162,7 +155,7 @@ def equivalence_class(w: BandWord, size_cap: int = 10**6) -> ClosureResult:
     """
     if size_cap < 1:
         raise BandError("size_cap must be >= 1")
-    tree = SearchTree(_pack(w), _rewrites(w.n))
+    tree = _tree(w)
     while tree.frontier:
         for _ in tree.grow(size_cap):
             pass
@@ -208,7 +201,7 @@ def relation_path(w1: BandWord, w2: BandWord, size_cap: int = 10**6) -> Relation
     if len(w1) != len(w2):
         return RelationPathResult("not_equal", None, 0, False)
     target = _pack(w2)
-    tree = SearchTree(_pack(w1), _rewrites(w1.n))
+    tree = _tree(w1)
     if tree.root == target:
         return RelationPathResult("found", RewritePath(w1, w2, ()), 1, False)
     while tree.frontier:

@@ -37,7 +37,6 @@ from .rewriting import (
     apply_step,
     equivalence_class,
     hurwitz_path_positive,
-    neighbors,
     step_to_move,
 )
 from .words import (
@@ -64,14 +63,15 @@ SUITE_NAMES = (
 )
 
 
-def _report(suite: str, n: int, checks: int, failures: list[str], **extra) -> dict:
+def _report(suite: str, n: int, checks: int, failures: list[str],
+            inconclusive: bool = False, **extra) -> dict:
     out = {
         "suite": suite,
         "strands": n,
         "checks": checks,
         "failures": failures,
         "ok": not failures,
-        "inconclusive": False,
+        "inconclusive": inconclusive,
     }
     out.update(extra)
     return out
@@ -163,45 +163,31 @@ def suite_embedding(n: int, max_len: int | None = None) -> dict:
 
     Relation steps preserve length, so the corpus (all positive band
     words up to a length bound) is closed under single rewrites and its
-    rewrite-graph components are exactly the relation closures.
+    rewrite-graph components are exactly the relation closures.  Each
+    word is labelled with the closure of the first unlabelled word.
     """
     if max_len is None:
         max_len = 4 if n == 3 else 3
     corpus = _positive_corpus(n, max_len)
-    index = {str(w): i for i, w in enumerate(corpus)}
-    parent = list(range(len(corpus)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, w in enumerate(corpus):
-        for nb, _ in neighbors(w):
-            j = index[str(nb)]
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
+    label: dict[BandWord, int] = {}
+    firsts: list[BandWord] = []
+    for w in corpus:
+        if w not in label:
+            for v in equivalence_class(w, size_cap=len(corpus)).words:
+                label[v] = len(firsts)
+            firsts.append(w)
 
     failures: list[str] = []
     product_of: dict[int, str] = {}
-    root_of_product: dict[str, int] = {}
-    for i, w in enumerate(corpus):
-        root = find(i)
-        key = canonical_key(expand_word(w))
-        if root in product_of:
-            if product_of[root] != key:
-                failures.append(f"component of '{corpus[root]}' mixes distinct products")
-        else:
-            product_of[root] = key
-        if key in root_of_product:
-            if root_of_product[key] != root:
-                failures.append(f"equal products split across components near '{w}'")
-        else:
-            root_of_product[key] = root
+    class_of: dict[str, int] = {}
+    for w in corpus:
+        c, key = label[w], canonical_key(expand_word(w))
+        if product_of.setdefault(c, key) != key:
+            failures.append(f"component of '{firsts[c]}' mixes distinct products")
+        if class_of.setdefault(key, c) != c:
+            failures.append(f"equal products split across components near '{w}'")
     return _report("embedding", n, len(corpus), sorted(set(failures)),
-                   maxLen=max_len, classes=len(product_of))
+                   maxLen=max_len, classes=len(firsts))
 
 
 def _standard_band_word(n: int) -> BandWord:
@@ -214,11 +200,8 @@ def suite_twist_closure(n: int, size_cap: int = 200000, seed: int = DEFAULT_SEED
     target = _standard_band_word(n)
     closure = equivalence_class(target, size_cap=size_cap)
     if closure.truncated:
-        rep = _report("twist-closure", n, 0, ["closure truncated before completing"],
-                      size=len(closure.words), truncated=True)
-        rep["ok"] = False
-        rep["inconclusive"] = True
-        return rep
+        return _report("twist-closure", n, 0, ["closure truncated before completing"],
+                       inconclusive=True, size=len(closure.words), truncated=True)
     members = list(closure.words)
     sampled = False
     if len(members) > 500:
@@ -238,7 +221,7 @@ def suite_conjugated_split(n: int, depth_cap: int = 8, size_cap: int = 5000) -> 
     """The standard and conjugated full-twist factorizations are connected."""
     failures: list[str] = []
     instances = []
-    inconclusive = False
+    capped = failed = False
     std = standard_factorization(n)
     for i in range(1, n):
         b = generator(n, i)
@@ -252,17 +235,13 @@ def suite_conjugated_split(n: int, depth_cap: int = 8, size_cap: int = 5000) -> 
         if res.status == "found":
             continue
         if res.status == "not_found" and res.truncated:
-            inconclusive = True
+            capped = True
             failures.append(f"search capped before reaching the conjugate by '{b}'")
         else:
+            failed = True
             failures.append(f"no path to the conjugate by '{b}' (status {res.status})")
-    rep = _report("conjugated-split", n, n - 1, failures,
-                  depthCap=depth_cap, sizeCap=size_cap, instances=instances)
-    if failures and inconclusive and len(failures) == sum(
-        1 for f in failures if f.startswith("search capped")
-    ):
-        rep["inconclusive"] = True
-    return rep
+    return _report("conjugated-split", n, n - 1, failures, inconclusive=capped and not failed,
+                   depthCap=depth_cap, sizeCap=size_cap, instances=instances)
 
 
 def _random_word(rng: random.Random, n: int, max_len: int) -> BraidWord:
@@ -335,6 +314,11 @@ def suite_action_axioms(n: int, seed: int = DEFAULT_SEED, trials: int = 200) -> 
     return _report("action-axioms", n, checks, sorted(set(failures)), seed=seed, trials=trials)
 
 
+def _given(**caps) -> dict:
+    """The caps a caller set; one left as None keeps the suite's default."""
+    return {k: v for k, v in caps.items() if v is not None}
+
+
 def run_suite(
     name: str,
     n: int = 3,
@@ -342,6 +326,7 @@ def run_suite(
     depth_cap: int | None = None,
     size_cap: int | None = None,
 ) -> dict:
+    """Run one named suite; a cap left as None takes the suite's default."""
     if name == "relations":
         return suite_relations(n)
     if name == "centrality":
@@ -351,23 +336,9 @@ def run_suite(
     if name == "embedding":
         return suite_embedding(n)
     if name == "twist-closure":
-        return suite_twist_closure(n, size_cap=200000 if size_cap is None else size_cap, seed=seed)
+        return suite_twist_closure(n, seed=seed, **_given(size_cap=size_cap))
     if name == "conjugated-split":
-        return suite_conjugated_split(
-            n,
-            depth_cap=8 if depth_cap is None else depth_cap,
-            size_cap=5000 if size_cap is None else size_cap,
-        )
+        return suite_conjugated_split(n, **_given(depth_cap=depth_cap, size_cap=size_cap))
     if name == "action-axioms":
         return suite_action_axioms(n, seed=seed)
     raise ValueError(f"unknown suite {name!r}")
-
-
-def run_suites(
-    names,
-    n: int = 3,
-    seed: int = DEFAULT_SEED,
-    depth_cap: int | None = None,
-    size_cap: int | None = None,
-) -> list[dict]:
-    return [run_suite(name, n, seed, depth_cap, size_cap) for name in names]

@@ -107,13 +107,6 @@ def free_reduce(w: BraidWord) -> BraidWord:
     return BraidWord(w.n, _reduce(w.letters))
 
 
-def is_reduced(w: BraidWord) -> bool:
-    return all(
-        not (a[0] == b[0] and a[1] == -b[1])
-        for a, b in zip(w.letters, w.letters[1:])
-    )
-
-
 def _same_strands(u: BraidWord, v: BraidWord) -> None:
     if u.n != v.n:
         raise WordError(f"strand counts differ: {u.n} vs {v.n}")

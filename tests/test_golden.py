@@ -149,5 +149,5 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
     data = {name: run(argv) for name, argv in CASES}
-    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=False) + "\n", encoding="utf-8")
+    GOLDEN.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(data)} cases to {GOLDEN}")

@@ -5,10 +5,8 @@ import pytest
 from braidkit import perms
 
 
-def test_identity_and_is_perm():
+def test_identity():
     assert perms.identity(4) == (0, 1, 2, 3)
-    assert perms.is_perm((2, 0, 1))
-    assert not perms.is_perm((0, 0, 1))
 
 
 def test_compose_applies_left_factor_first():
@@ -28,15 +26,8 @@ def test_inverse():
 def test_longest_element():
     w0 = perms.longest(4)
     assert w0 == (3, 2, 1, 0)
-    assert perms.length(w0) == 6
     assert perms.left_descents(w0) == {0, 1, 2}
     assert perms.compose(w0, w0) == perms.identity(4)
-
-
-def test_length_counts_inversions():
-    assert perms.length(perms.identity(5)) == 0
-    assert perms.length(perms.transposition(5, 2)) == 1
-    assert perms.length((1, 2, 0)) == 2
 
 
 def test_descents():
@@ -66,14 +57,3 @@ def test_is_transposition():
     assert not perms.is_transposition(perms.identity(3))
     assert not perms.is_transposition((1, 2, 0))
 
-
-def test_cycle_type_is_conjugation_invariant():
-    p = (1, 2, 0, 4, 3)
-    assert perms.cycle_type(p) == (2, 3)
-    for g in itertools.permutations(range(5)):
-        conj = perms.compose(perms.compose(perms.inverse(g), p), g)
-        assert perms.cycle_type(conj) == (2, 3)
-
-
-def test_one_line():
-    assert perms.one_line((2, 0, 1)) == (3, 1, 2)

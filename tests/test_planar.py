@@ -1,7 +1,11 @@
+import math
+import random
+
 import pytest
 
 from braidkit.bands import BandGenerator, all_generators
 from braidkit.planar import (
+    _abscissae,
     CombMap,
     Edge,
     FaceWalk,
@@ -211,6 +215,33 @@ def test_band_map_full_n5():
     crossings = [v for v in m.vertices if v.kind == "crossing"]
     assert len(crossings) == 5
     assert check_semiframe(m).accepted
+
+
+def test_puncture_abscissae_are_consecutive_up_to_eight():
+    assert _abscissae(12) == (1, 2, 3, 4, 5, 6, 7, 8, 14, 16, 24, 27)
+    assert _abscissae(8) == _abscissae(12)[:8]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_band_map_of_all_generators_has_one_vertex_per_crossing(n):
+    m = band_subgraph_map(n, all_generators(n))
+    # Every 4 punctures give exactly one pair of interleaving chords.
+    assert sum(v.kind == "crossing" for v in m.vertices) == math.comb(n, 4)
+    assert check_semiframe(m).accepted
+
+
+def interleaving_pairs(gens):
+    return sum(1 for x in gens for y in gens if x.s < y.s < x.t < y.t)
+
+
+@pytest.mark.parametrize("n", (9, 10))
+def test_band_maps_of_random_subsets_are_drawn(n):
+    rng = random.Random(1729 + n)
+    for _ in range(30):
+        gens = [g for g in all_generators(n) if rng.random() < 0.5]
+        m = band_subgraph_map(n, gens)
+        assert sum(v.kind == "crossing" for v in m.vertices) == interleaving_pairs(gens)
+        check_semiframe(m)
 
 
 def test_band_map_rejects_foreign_strand_count():

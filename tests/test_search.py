@@ -275,7 +275,7 @@ def test_the_packed_pair_table_agrees_with_classify_pair_and_apply_step(n):
         for y in gens:
             want = [((gens.index(nb.letters[0]), gens.index(nb.letters[1])), step.rule)
                     for nb, step in reference_neighbors(BandWord(n, (x, y)))]
-            got = pairs[gens.index(x)][gens.index(y)]
+            got = pairs[gens.index(x), gens.index(y)]
             assert list(got) == want, (x, y)
             assert (not got) == (classify_pair(x, y) is PairClass.INTERLEAVED)
 
