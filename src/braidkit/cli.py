@@ -40,7 +40,7 @@ from .hurwitz import (
 from .normalform import canonical_key, normal_form, normal_form_key
 from .planar import MapError, check_semiframe, map_from_json
 from .rewriting import equivalence_class, hurwitz_path_positive
-from .verify import DEFAULT_SEED, SUITE_NAMES, run_suite
+from .verify import DEFAULT_SEED, SUITE_NAMES, _given, run_suite
 from .words import WordError, conjugate, format_word, parse_word
 
 InputError = (WordError, BandError, MoveError, MapError)
@@ -182,8 +182,7 @@ def cmd_orbit(args) -> int:
 
 def cmd_rewrite_class(args) -> int:
     w = parse_band_word(args.word, args.strands)
-    cap = 10**6 if args.size_cap is None else args.size_cap
-    res = equivalence_class(w, size_cap=cap)
+    res = equivalence_class(w, **_given(size_cap=args.size_cap))
     payload = res.as_dict()
     text = "\n".join([f"size={len(res.words)} truncated={res.truncated}"]
                      + [str(v) for v in res.words])
@@ -194,8 +193,9 @@ def cmd_rewrite_class(args) -> int:
 def cmd_positive_path(args) -> int:
     w1 = parse_band_word(args.word1, args.strands)
     w2 = parse_band_word(args.word2, args.strands)
-    cap = 10**6 if args.size_cap is None else args.size_cap
-    return _search_exit(hurwitz_path_positive(w1, w2, size_cap=cap), args.format)
+    return _search_exit(
+        hurwitz_path_positive(w1, w2, **_given(size_cap=args.size_cap)), args.format
+    )
 
 
 def cmd_semiframe(args) -> int:

@@ -17,9 +17,13 @@ that must serve.  Crossing vertices never need to be on the face; the
 access arcs only have to end at punctures.
 
 `band_subgraph_map` draws a set of band generators as chords between
-punctures placed on a convex arc, planarizes the chord crossings with
-exact rational arithmetic, and returns a fixed-mode map with each
-component's unbounded face designated.
+punctures on the parabola y = x^2, planarizes the chord crossings and
+returns a fixed-mode map with each component's unbounded face
+designated.  Its only geometry is the chord's integer line y = S x - P:
+crossings are exact rational intersections of two such lines, the
+rotation at a vertex sorts darts by (leaves leftward, slope S), and the
+outer face is read off the first dart at a component's lowest-index
+puncture.
 
 JSON format: {"vertices": [{"id", "kind"}], "edges": [{"id", "ends":
 [v0, v1]}], "rotations": {vertexId: [dart ids, counterclockwise]},
@@ -32,9 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 
-from .bands import BandGenerator, PairClass, classify_pair
+from .bands import BandGenerator
 
 
 class MapError(ValueError):
@@ -245,12 +249,12 @@ def check_semiframe(m: CombMap) -> Verdict:
     only if the designated faces witness this.
     """
     faces = trace_faces(m)
-    comp_of = _components(m)
+    puncture_ids = {v.id for v in m.vertices if v.kind == "puncture"}
+    # Every vertex lies on a face of its component (an isolated one on its
+    # synthetic face), so the faces name each component's punctures.
     punctures: dict[str, set[str]] = {}
-    for v in m.vertices:
-        punctures.setdefault(comp_of[v.id], set())
-        if v.kind == "puncture":
-            punctures[comp_of[v.id]].add(v.id)
+    for f in faces:
+        punctures.setdefault(f.component, set()).update(puncture_ids.intersection(f.vertices))
     indexed = face_indices(faces)
     per_component: dict[str, list[tuple[int, FaceWalk]]] = {}
     for (cid, i), f in indexed.items():
@@ -280,54 +284,6 @@ def check_semiframe(m: CombMap) -> Verdict:
 
 
 # -- geometric construction of band subgraph maps ---------------------------
-
-Point = tuple[Fraction, Fraction]
-
-
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _ccw_key(origin: Point):
-    zero = Fraction(0)
-
-    def halfplane(p: Point) -> int:
-        dx, dy = p[0] - origin[0], p[1] - origin[1]
-        return 0 if dy > zero or (dy == zero and dx > zero) else 1
-
-    def cmp(a: Point, b: Point) -> int:
-        ha, hb = halfplane(a), halfplane(b)
-        if ha != hb:
-            return ha - hb
-        c = _cross(origin, a, b)
-        if c > zero:
-            return -1
-        if c < zero:
-            return 1
-        raise MapError("two edges leave a vertex in the same direction")
-
-    return cmp
-
-
-def _segment_intersection(p1: Point, p2: Point, q1: Point, q2: Point) -> Point:
-    d1 = (p2[0] - p1[0], p2[1] - p1[1])
-    d2 = (q2[0] - q1[0], q2[1] - q1[1])
-    denom = d1[0] * d2[1] - d1[1] * d2[0]
-    if denom == 0:
-        raise MapError("crossing chords are parallel; layout degenerate")
-    w = (q1[0] - p1[0], q1[1] - p1[1])
-    u = (w[0] * d2[1] - w[1] * d2[0]) / denom
-    v = (w[0] * d1[1] - w[1] * d1[0]) / denom
-    if not (0 < u < 1 and 0 < v < 1):
-        raise MapError("chords classified as crossing do not intersect internally")
-    return (p1[0] + u * d1[0], p1[1] + u * d1[1])
-
-
-def _chords_cross(x: BandGenerator, y: BandGenerator) -> bool:
-    return (
-        classify_pair(x, y) is PairClass.INTERLEAVED
-        and classify_pair(y, x) is PairClass.INTERLEAVED
-    )
 
 
 def _meets_two_crossing_chords(xs: list[int]) -> bool:
@@ -371,98 +327,70 @@ def _abscissae(n: int) -> tuple[int, ...]:
     return tuple(xs)
 
 
-def _face_area(walk: FaceWalk, at_vertex: dict[str, str], coords: dict[str, Point]) -> Fraction:
-    total = Fraction(0)
-    pts = [coords[at_vertex[d]] for d in walk.darts]
-    for i, p in enumerate(pts):
-        q = pts[(i + 1) % len(pts)]
-        total += p[0] * q[1] - q[0] * p[1]
-    return total
-
-
 def band_subgraph_map(n: int, generators) -> CombMap:
     """Draw a set of band generators as a fixed-mode combinatorial map.
 
     Puncture j sits at (x_j, x_j^2) with x_j from `_abscissae`, so the
-    punctures are in convex position, two chords cross exactly when their
-    index pairs strictly interleave, and no three chords meet in one
-    point.
-    Crossings become degree-4 vertices named c0, c1, ... in coordinate
-    order; the segments of the chord a_{t,s} are edges "t:s/0",
-    "t:s/1", ...  counted from the s end.  Every component gets its
-    unbounded face designated as the outer face.
+    punctures are in convex position and no three chords meet in one
+    point.  The chord a_{t,s} is the line y = S x - P with S = x_s + x_t
+    and P = x_s x_t, and that line is all the geometry used:
+
+    * Two chords cross exactly when their index pairs strictly
+      interleave, at x = (P1 - P2) / (S1 - S2).  Crossings become
+      degree-4 vertices named c0, c1, ... in (x, y) order; the segments
+      of a_{t,s} are edges "t:s/0", "t:s/1", ... in x order from the s
+      end.
+    * Every x_j is at least 1, so every slope S is positive: an edge
+      leaving rightward points into the open upper-right quadrant and one
+      leaving leftward into the lower-left.  The counterclockwise
+      rotation at a vertex is its darts sorted by (leaves leftward, S).
+    * All edges at a component's lowest-index puncture leave rightward,
+      so the face holding the first dart of its rotation (the one on the
+      dart's clockwise side) is unbounded; it is designated as the outer
+      face.  An edgeless component designates its synthetic face 0.
     """
     gens = sorted(set(generators), key=lambda a: (a.t, a.s))
     for a in gens:
         if a.n != n:
             raise MapError(f"generator {a} has strand count {a.n}, expected {n}")
-    coords: dict[str, Point] = {
-        f"p{j}": (Fraction(x), Fraction(x * x)) for j, x in enumerate(_abscissae(n), 1)
-    }
+    xs = (0, *_abscissae(n))
+    line = {a: (xs[a.s] + xs[a.t], xs[a.s] * xs[a.t]) for a in gens}
     vertices = [Vertex(f"p{j}", "puncture") for j in range(1, n + 1)]
 
-    crossing_at: dict[Point, list[BandGenerator]] = {}
-    splits: dict[BandGenerator, list[tuple[Fraction, Point]]] = {a: [] for a in gens}
-    for i, x in enumerate(gens):
-        for y in gens[i + 1 :]:
-            if not _chords_cross(x, y):
-                continue
-            p = _segment_intersection(
-                coords[f"p{x.s}"], coords[f"p{x.t}"],
-                coords[f"p{y.s}"], coords[f"p{y.t}"],
-            )
-            crossing_at.setdefault(p, []).append(x)
-            crossing_at[p].append(y)
-            for g in (x, y):
-                a, b = coords[f"p{g.s}"], coords[f"p{g.t}"]
-                u = (p[0] - a[0]) / (b[0] - a[0])
-                splits[g].append((u, p))
-    crossing_id: dict[Point, str] = {}
-    for k, p in enumerate(sorted(crossing_at)):
-        if len(set(crossing_at[p])) > 2:
+    crossing_at: dict[tuple[Fraction, Fraction], list[BandGenerator]] = {}
+    for i, a in enumerate(gens):
+        for b in gens[i + 1 :]:
+            if a.s < b.s < a.t < b.t:
+                (s1, p1), (s2, p2) = line[a], line[b]
+                x = Fraction(p1 - p2, s1 - s2)
+                crossing_at.setdefault((x, s1 * x - p1), []).extend((a, b))
+    # Crossings are named in (x, y) order, so each chord meets its own in x order.
+    stops: dict[BandGenerator, list[str]] = {a: [f"p{a.s}"] for a in gens}
+    for k, point in enumerate(sorted(crossing_at)):
+        if len(crossing_at[point]) > 2:
             raise MapError("three chords through one point; layout degenerate")
-        cid = f"c{k}"
-        crossing_id[p] = cid
-        coords[cid] = p
-        vertices.append(Vertex(cid, "crossing"))
+        vertices.append(Vertex(f"c{k}", "crossing"))
+        for a in crossing_at[point]:
+            stops[a].append(f"c{k}")
 
     edges: list[Edge] = []
-    incident: dict[str, list[tuple[str, str]]] = {v.id: [] for v in vertices}
-    for g in gens:
-        stops = [f"p{g.s}"]
-        for _u, p in sorted(splits[g]):
-            stops.append(crossing_id[p])
-        stops.append(f"p{g.t}")
-        for k in range(len(stops) - 1):
-            e = Edge(f"{g.t}:{g.s}/{k}", (stops[k], stops[k + 1]))
+    incident: dict[str, list[tuple[tuple[bool, int], str]]] = {v.id: [] for v in vertices}
+    for a in gens:
+        path, slope = stops[a] + [f"p{a.t}"], line[a][0]
+        for k in range(len(path) - 1):
+            e = Edge(f"{a.t}:{a.s}/{k}", (path[k], path[k + 1]))
             edges.append(e)
-            incident[stops[k]].append((dart(e.id, 0), stops[k + 1]))
-            incident[stops[k + 1]].append((dart(e.id, 1), stops[k]))
-
-    rotations: dict[str, tuple[str, ...]] = {}
-    for v in vertices:
-        ends = incident[v.id]
-        if not ends:
-            rotations[v.id] = ()
-            continue
-        cmp = _ccw_key(coords[v.id])
-        ends.sort(key=cmp_to_key(lambda a, b: cmp(coords[a[1]], coords[b[1]])))
-        rotations[v.id] = tuple(d for d, _target in ends)
+            incident[path[k]].append(((False, slope), dart(e.id, 0)))
+            incident[path[k + 1]].append(((True, slope), dart(e.id, 1)))
+    rotations = {v: tuple(d for _key, d in sorted(ends)) for v, ends in incident.items()}
 
     draft = CombMap(tuple(vertices), tuple(edges), rotations, "free", None)
-    faces = trace_faces(draft)
-    at_vertex = {
-        d: v for v, ring in rotations.items() for d in ring
-    }
-    # With counterclockwise rotations the tracing keeps each face on the
-    # right of the walk, so bounded faces come out with negative
-    # shoelace area and the unbounded face is the positive one.
-    best: dict[str, tuple[Fraction, int]] = {}
-    for (cid, i), f in face_indices(faces).items():
-        area = _face_area(f, at_vertex, coords) if f.darts else Fraction(0)
-        if cid not in best or area > best[cid][0]:
-            best[cid] = (area, i)
-    outer = {cid: i for cid, (_area, i) in best.items()}
+    face_of = {d: key for key, f in face_indices(trace_faces(draft)).items() for d in f.darts}
+    outer: dict[str, int] = {}
+    for j in range(1, n + 1):
+        ring = rotations[f"p{j}"]
+        cid, i = face_of[ring[0]] if ring else (f"p{j}", 0)
+        outer.setdefault(cid, i)
     return CombMap(tuple(vertices), tuple(edges), rotations, "fixed", outer)
 
 

@@ -118,11 +118,14 @@ def compose(u: BraidWord, v: BraidWord) -> BraidWord:
     return BraidWord(u.n, _reduce(u.letters + v.letters))
 
 
-def compose_all(n: int, words) -> BraidWord:
-    out = BraidWord(n)
+def compose_all(n: int, words: Iterable[BraidWord]) -> BraidWord:
+    """Concatenate words on n strands and freely reduce once."""
+    letters: list[Letter] = []
     for w in words:
-        out = compose(out, w)
-    return out
+        if w.n != n:
+            raise WordError(f"strand counts differ: {n} vs {w.n}")
+        letters.extend(w.letters)
+    return BraidWord(n, _reduce(letters))
 
 
 def inverse(u: BraidWord) -> BraidWord:

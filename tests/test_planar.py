@@ -1,5 +1,7 @@
 import math
 import random
+from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -288,3 +290,116 @@ def test_json_malformed():
         map_from_json({"vertices": "nope"})
     with pytest.raises(MapError):
         map_from_json({})
+
+
+# -- reference: drawn maps against exact point geometry -----------------------
+#
+# The oracle places puncture j at (x_j, x_j^2) and derives everything from
+# points: crossings as exact segment intersections, rotations from cross
+# products, the outer face as the one with the largest shoelace area.
+
+
+def segment_intersection(p1, p2, q1, q2):
+    """The point where two segments meet inside both, or None."""
+    d1 = (p2[0] - p1[0], p2[1] - p1[1])
+    d2 = (q2[0] - q1[0], q2[1] - q1[1])
+    denom = d1[0] * d2[1] - d1[1] * d2[0]
+    if denom == 0:
+        return None
+    w = (q1[0] - p1[0], q1[1] - p1[1])
+    u = Fraction(w[0] * d2[1] - w[1] * d2[0], denom)
+    v = Fraction(w[0] * d1[1] - w[1] * d1[0], denom)
+    if not (0 < u < 1 and 0 < v < 1):
+        return None
+    return (p1[0] + u * d1[0], p1[1] + u * d1[1])
+
+
+def cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def counterclockwise(origin):
+    """Comparator of points by angle around origin, starting at angle 0."""
+
+    def halfplane(p):
+        dx, dy = p[0] - origin[0], p[1] - origin[1]
+        return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+
+    def cmp(a, b):
+        if halfplane(a) != halfplane(b):
+            return halfplane(a) - halfplane(b)
+        c = cross(origin, a, b)
+        assert c != 0, "two edges leave a vertex in the same direction"
+        return -1 if c > 0 else 1
+
+    return cmp
+
+
+def shoelace(points):
+    return sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(points, points[1:] + points[:1]))
+
+
+def assert_matches_point_geometry(n, gens):
+    m = band_subgraph_map(n, gens)
+    coords = {f"p{j}": (x, x * x) for j, x in enumerate(_abscissae(n), 1)}
+    chords = sorted({(g.t, g.s) for g in gens})
+
+    through: dict = {}
+    for i, (t1, s1) in enumerate(chords):
+        for t2, s2 in chords[i + 1 :]:
+            p = segment_intersection(
+                coords[f"p{s1}"], coords[f"p{t1}"], coords[f"p{s2}"], coords[f"p{t2}"]
+            )
+            if p is not None:
+                through.setdefault(p, set()).update({(t1, s1), (t2, s2)})
+    assert all(len(c) == 2 for c in through.values())
+    for k, p in enumerate(sorted(through)):
+        coords[f"c{k}"] = p
+    crossings = {v.id for v in m.vertices if v.kind == "crossing"}
+    assert crossings == {f"c{k}" for k in range(len(through))}
+
+    ends = {e.id: e.ends for e in m.edges}
+    for t, s in chords:
+        stops = [f"p{s}"]
+        while f"{t}:{s}/{len(stops) - 1}" in ends:
+            a, b = ends[f"{t}:{s}/{len(stops) - 1}"]
+            assert a == stops[-1]
+            stops.append(b)
+        on_chord = sorted(p for p, c in through.items() if (t, s) in c)
+        assert [coords[v] for v in stops] == [coords[f"p{s}"], *on_chord, coords[f"p{t}"]]
+    assert len(m.edges) == len(chords) + 2 * len(through)
+
+    def far_end(d):
+        edge_id, side = dart_edge_side(d)
+        return ends[edge_id][1 - side]
+
+    at_vertex = {}
+    for v, ring in m.rotations.items():
+        at_vertex.update((d, v) for d in ring)
+        ccw = counterclockwise(coords[v])
+        key = cmp_to_key(lambda a, b: ccw(coords[far_end(a)], coords[far_end(b)]))
+        assert list(ring) == sorted(ring, key=key)
+
+    # Faces lie right of their walks, so every bounded face has negative
+    # area; a tree's single face has area 0.
+    areas = {
+        key: shoelace([coords[at_vertex[d]] for d in f.darts]) if f.darts else 0
+        for key, f in face_indices(trace_faces(m)).items()
+    }
+    largest = {}
+    for cid, i in sorted(areas):
+        if cid not in largest or areas[cid, i] > areas[cid, largest[cid]]:
+            largest[cid] = i
+    assert m.outer == largest
+    assert all(area < 0 for (cid, i), area in areas.items() if largest[cid] != i)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_band_maps_match_point_geometry(n):
+    assert_matches_point_geometry(n, all_generators(n))
+    rng = random.Random(4099 + n)
+    for _ in range(20):
+        density = rng.uniform(0.1, 0.9)
+        assert_matches_point_geometry(
+            n, [g for g in all_generators(n) if rng.random() < density]
+        )

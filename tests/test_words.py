@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from braidkit.words import (
@@ -64,6 +66,23 @@ def test_compose_reduces_at_the_seam():
 def test_compose_rejects_mismatched_strands():
     with pytest.raises(WordError):
         compose(parse_word("1", 3), parse_word("1", 4))
+
+
+def test_compose_all_matches_stepwise_compose():
+    with pytest.raises(WordError):
+        compose_all(3, [parse_word("1", 3), parse_word("1", 4)])
+    rng = random.Random(2718)
+    for _ in range(50):
+        n = rng.randint(2, 5)
+        factors = [
+            BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((1, -1)))
+                               for _ in range(rng.randint(0, 6))))
+            for _ in range(rng.randint(0, 8))
+        ]
+        stepwise = BraidWord(n)
+        for w in factors:
+            stepwise = compose(stepwise, w)
+        assert compose_all(n, factors) == stepwise
 
 
 def test_inverse():
