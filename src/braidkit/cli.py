@@ -13,11 +13,16 @@ Exit codes follow one contract across subcommands:
 File arguments also accept ``-`` for standard input, or an inline JSON
 literal.  With ``--format json`` the payload is serialized with sorted
 keys, so identical invocations produce byte-identical output.
+
+The parser is built once per process, on the first `main` call.  Each
+call picks its handler by command name at call time (`cmd_` plus the
+name with ``-`` as ``_``), so a handler replaced later still runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -248,7 +253,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call."""
     parser = _Parser(
         prog="braidkit",
         description="Band-generator braid computations, Hurwitz moves, and semi-frame checks.",
@@ -263,34 +270,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nf", help="Garside normal form of an Artin word")
     p.add_argument("word", help="signed generator indices, e.g. '1 2 -1'")
     common(p)
-    p.set_defaults(fn=cmd_nf)
 
     p = sub.add_parser("eq", help="decide equality of two Artin words")
     p.add_argument("word1")
     p.add_argument("word2")
     common(p)
-    p.set_defaults(fn=cmd_eq)
 
     p = sub.add_parser("conj", help="conjugate x by g (computes g^-1 x g)")
     p.add_argument("word")
     p.add_argument("conjugator")
     common(p)
-    p.set_defaults(fn=cmd_conj)
 
     p = sub.add_parser("band-expand", help="expand a band word into Artin letters")
     p.add_argument("word", help="band letters 't:s', e.g. '3:1 2:1'")
     common(p)
-    p.set_defaults(fn=cmd_band_expand)
 
     p = sub.add_parser("delta2", help="the full-twist word on n strands")
     common(p)
-    p.set_defaults(fn=cmd_delta2)
 
     p = sub.add_parser("hurwitz-apply", help="apply a move sequence to a factorization")
     p.add_argument("factorization", help="JSON {strands, factors}; file, '-', or literal")
     p.add_argument("moves", help="JSON array of signed integers; file, '-', or literal")
     common(p, strands=False)
-    p.set_defaults(fn=cmd_hurwitz_apply)
 
     p = sub.add_parser("hurwitz-path", help="search for a move sequence between factorizations")
     p.add_argument("source", help="JSON {strands, factors}; file, '-', or literal")
@@ -298,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth-cap", type=int, default=None)
     p.add_argument("--size-cap", type=int, default=None)
     common(p, strands=False)
-    p.set_defaults(fn=cmd_hurwitz_path)
 
     p = sub.add_parser("orbit", help="breadth-first Hurwitz orbit of a factorization")
     p.add_argument("factorization", help="JSON {strands, factors}; file, '-', or literal")
@@ -306,25 +306,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size-cap", type=int, default=None)
     p.add_argument("--keys", action="store_true", help="include visited keys in the payload")
     common(p, strands=False)
-    p.set_defaults(fn=cmd_orbit)
 
     p = sub.add_parser("rewrite-class", help="relation-rewrite closure of a positive band word")
     p.add_argument("word")
     p.add_argument("--size-cap", type=int, default=None)
     common(p)
-    p.set_defaults(fn=cmd_rewrite_class)
 
     p = sub.add_parser("positive-path", help="compile a relation path into Hurwitz moves")
     p.add_argument("word1")
     p.add_argument("word2")
     p.add_argument("--size-cap", type=int, default=None)
     common(p)
-    p.set_defaults(fn=cmd_positive_path)
 
     p = sub.add_parser("semiframe", help="check the semi-frame face condition of a map")
     p.add_argument("map", help="map JSON; file, '-', or literal")
     common(p, strands=False)
-    p.set_defaults(fn=cmd_semiframe)
 
     p = sub.add_parser("verify", help="run named verification suites")
     p.add_argument("suites", nargs="*", metavar="suite",
@@ -333,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth-cap", type=int, default=None)
     p.add_argument("--size-cap", type=int, default=None)
     common(p)
-    p.set_defaults(fn=cmd_verify)
 
     return parser
 
@@ -341,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -82,7 +82,11 @@ def apply_move(f: Factorization, m: Move) -> Factorization:
         pair = (compose(compose(x, y), inverse(x)), x)
     else:
         pair = (y, compose(compose(inverse(y), x), y))
-    return Factorization(f.n, f.factors[:i] + pair + f.factors[i + 2 :])
+    # Stored factors are reduced and so is the new pair: skip re-reducing.
+    out = object.__new__(Factorization)
+    object.__setattr__(out, "n", f.n)
+    object.__setattr__(out, "factors", f.factors[:i] + pair + f.factors[i + 2 :])
+    return out
 
 
 def apply_sequence(f: Factorization, moves) -> Factorization:

@@ -112,7 +112,8 @@ def _tree(w: BandWord) -> SearchTree:
     return SearchTree(_pack(w), _letter_table(w.n)[1].__getitem__)
 
 
-def _unpack(n: int, word: tuple[int, ...]) -> BandWord:
+def unpack(n: int, word: tuple[int, ...]) -> BandWord:
+    """The band word of a packed word, a state of `closure_tree`."""
     gens = _letter_table(n)[0]
     return BandWord(n, tuple(map(gens.__getitem__, word)))
 
@@ -126,7 +127,7 @@ def neighbors(w: BandWord) -> tuple[tuple[BandWord, RelationStep], ...]:
     """
     tree = _tree(w)
     return tuple(
-        (_unpack(w.n, word), RelationStep(*step)) for word, step in tree.expand(tree.root)
+        (unpack(w.n, word), RelationStep(*step)) for word, step in tree.expand(tree.root)
     )
 
 
@@ -146,12 +147,12 @@ class ClosureResult:
         }
 
 
-def equivalence_class(w: BandWord, size_cap: int = 10**6) -> ClosureResult:
-    """Breadth-first closure of w under single relation rewrites.
+def closure_tree(w: BandWord, size_cap: int = 10**6) -> SearchTree:
+    """The breadth-first tree of w's closure under single relation rewrites.
 
-    Deduplication is by the literal letter sequence.  Rewrites preserve
-    length, so the closure is finite; `truncated` reports whether the
-    size cap cut it short.  Words come back sorted.
+    States are packed words (see `unpack`); each parent link holds the
+    (position, rule) step to its state.  Rewrites preserve length, so the
+    closure is finite; `capped` reports whether the size cap cut it short.
     """
     if size_cap < 1:
         raise BandError("size_cap must be >= 1")
@@ -159,7 +160,13 @@ def equivalence_class(w: BandWord, size_cap: int = 10**6) -> ClosureResult:
     while tree.frontier:
         for _ in tree.grow(size_cap):
             pass
-    words = tuple(_unpack(w.n, word) for word in sorted(tree.parents))
+    return tree
+
+
+def equivalence_class(w: BandWord, size_cap: int = 10**6) -> ClosureResult:
+    """The words of `closure_tree(w, size_cap)`, sorted; truncated if the cap fired."""
+    tree = closure_tree(w, size_cap)
+    words = tuple(unpack(w.n, word) for word in sorted(tree.parents))
     return ClosureResult(words, tree.capped)
 
 

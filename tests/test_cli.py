@@ -331,3 +331,52 @@ def test_nf_computes_the_normal_form_once(capsys, monkeypatch):
     assert code == 0 and err == ""
     assert out == "4:-1:1,4,3,2|2,4,1,3|2,1,3,4|3,1,2,4\n"
     assert len(calls) == 1
+
+
+# -- One parser per process ----------------------------------------------------
+
+
+def test_options_do_not_leak_into_later_calls(capsys):
+    code, out, _ = run(capsys, "orbit", "--keys", "--format", "json", FACT)
+    assert code == 0 and "keys" in json.loads(out)
+    code, out, _ = run(capsys, "orbit", FACT)
+    assert (code, out) == (0, "visited=3 truncated=False depths=1,2\n")
+    code, out, _ = run(capsys, "orbit", "--size-cap", "1", FACT)
+    assert (code, out) == (2, "visited=1 truncated=True depths=1\n")
+    code, out, _ = run(capsys, "orbit", FACT)
+    assert (code, out) == (0, "visited=3 truncated=False depths=1,2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["nf", "--strands", "three", "1"])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert [line.split()[0] for line in err.splitlines()] == ["usage:", "braidkit"]
+
+
+def test_a_handler_patched_after_the_first_call_takes_effect(capsys, monkeypatch):
+    from braidkit import cli
+
+    assert run(capsys, "eq", "1", "1")[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_eq", lambda args: seen.append(args.word1) or 7)
+    assert run(capsys, "eq", "2", "1")[0] == 7
+    assert seen == ["2"]
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    from braidkit import cli
+
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    cli.build_parser.cache_clear()
+    try:
+        for i in range(20):
+            assert run(capsys, "delta2", "--strands", str(3 + i % 4))[0] == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert built.count("braidkit") == 1

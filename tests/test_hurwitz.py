@@ -58,6 +58,16 @@ def test_apply_move_backward():
     assert [format_word(w) for w in out.factors] == ["2", "-2 1 2"]
 
 
+def test_apply_move_passes_untouched_factors_through():
+    f = fact(3, "1 2", "-2 -1", "-1", "1 1")
+    for m in (Move(1, 1), Move(2, -1), Move(3, 1)):
+        out = apply_move(f, m)
+        assert out == Factorization(3, out.factors)
+        i = m.k - 1
+        kept = f.factors[:i] + f.factors[i + 2 :]
+        assert all(a is b for a, b in zip(out.factors[:i] + out.factors[i + 2 :], kept))
+
+
 def test_move_then_inverse_is_identity():
     f = fact(3, "1 2", "2", "-1")
     for k in (1, 2):

@@ -75,7 +75,7 @@ def test_a_cap_truncates_only_below_the_full_size(search, size):
 # ReplayError even though -O strips assert statements.
 CORRUPTED_REPLAYS = """
 import sys
-from braidkit import hurwitz, rewriting
+from braidkit import hurwitz, rewriting, verify
 from braidkit.bands import band_factorization, parse_band_word
 
 if __debug__:
@@ -99,6 +99,8 @@ rewriting.apply_sequence = lambda f, moves: f
 expect_replay_error("hurwitz_path_positive", lambda: rewriting.hurwitz_path_positive(w1, w2))
 rewriting.RewritePath.replay = lambda path: path.start
 expect_replay_error("relation_path", lambda: rewriting.relation_path(w1, w2))
+verify.step_to_move = lambda step, real=verify.step_to_move: real(step).inverted()
+expect_replay_error("suite_twist_closure", lambda: verify.suite_twist_closure(3))
 """
 
 
@@ -110,7 +112,8 @@ def test_corrupted_replays_raise_under_python_O():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["find_path", "hurwitz_path_positive", "relation_path"]
+    assert proc.stdout.splitlines() == [
+        "find_path", "hurwitz_path_positive", "relation_path", "suite_twist_closure"]
 
 
 # -- The interned searches against references over the public moves ----------

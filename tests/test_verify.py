@@ -3,7 +3,7 @@
 import pytest
 
 from braidkit import verify
-from braidkit.hurwitz import PathResult
+from braidkit.hurwitz import PathResult, ReplayError
 from braidkit.verify import run_suite, suite_conjugated_split, suite_embedding
 
 
@@ -49,6 +49,13 @@ def test_a_capped_twist_closure_is_inconclusive():
     rep = run_suite("twist-closure", 3, size_cap=10)
     assert (rep["ok"], rep["inconclusive"]) == (False, True)
     assert (rep["size"], rep["truncated"], rep["checks"]) == (10, True, 0)
+
+
+def test_a_wrong_compiled_move_fails_the_twist_closure_replay(monkeypatch):
+    real = verify.step_to_move
+    monkeypatch.setattr(verify, "step_to_move", lambda step: real(step).inverted())
+    with pytest.raises(ReplayError):
+        verify.suite_twist_closure(3)
 
 
 def test_run_suite_passes_only_the_caps_given():
