@@ -120,10 +120,7 @@ def expand(a: BandGenerator) -> BraidWord:
 
 def expand_word(w: BandWord) -> BraidWord:
     """Expansion of a band word, freely reduced."""
-    out: list[tuple[int, int]] = []
-    for a in w.letters:
-        out.extend(expand(a).letters)
-    return free_reduce(BraidWord(w.n, tuple(out)))
+    return compose_all(w.n, map(expand, w.letters))
 
 
 class PairClass(enum.Enum):

@@ -17,6 +17,8 @@ keys, so identical invocations produce byte-identical output.
 The parser is built once per process, on the first `main` call.  Each
 call picks its handler by command name at call time (`cmd_` plus the
 name with ``-`` as ``_``), so a handler replaced later still runs.
+A handler returns (exit code, payload, text) and prints nothing; `main`
+prints the result once, as JSON or as the text.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ from .verify import DEFAULT_SEED, SUITE_NAMES, _given, run_suite
 from .words import WordError, conjugate, format_word, parse_word
 
 InputError = (WordError, BandError, MoveError, MapError)
+
+# What a handler returns: (exit code, JSON payload, text output).
+Outcome = tuple[int, dict, str]
 
 
 def _load_json_arg(arg: str):
@@ -84,13 +89,6 @@ def _moves_from_json(data):
     return [move_from_int(v) for v in data]
 
 
-def _emit(payload: dict, text: str, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
-
-
 _MISSED = {
     ("not_comparable", False): "not comparable: products differ",
     ("not_found", True): "not found (caps exhausted)",
@@ -100,17 +98,15 @@ _MISSED = {
 }
 
 
-def _search_exit(res, fmt: str) -> int:
-    """Print a path search's result: exit 0 if found, 2 if a cap fired, else 1."""
+def _search_exit(res) -> Outcome:
+    """A path search's outcome: exit 0 if found, 2 if a cap fired, else 1."""
     payload = res.as_dict()
     if res.status == "found":
-        _emit(payload, "found: " + " ".join(map(str, payload["moves"])), fmt)
-        return 0
-    _emit(payload, _MISSED[res.status, res.truncated], fmt)
-    return 2 if res.truncated else 1
+        return 0, payload, "found: " + " ".join(map(str, payload["moves"]))
+    return 2 if res.truncated else 1, payload, _MISSED[res.status, res.truncated]
 
 
-def cmd_nf(args) -> int:
+def cmd_nf(args) -> Outcome:
     w = parse_word(args.word, args.strands)
     nf = normal_form(w)
     payload = {
@@ -120,58 +116,50 @@ def cmd_nf(args) -> int:
         "canonicalLength": nf.canonical_length,
         "key": normal_form_key(nf),
     }
-    _emit(payload, payload["key"], args.format)
-    return 0
+    return 0, payload, payload["key"]
 
 
-def cmd_eq(args) -> int:
+def cmd_eq(args) -> Outcome:
     k1 = canonical_key(parse_word(args.word1, args.strands))
     k2 = canonical_key(parse_word(args.word2, args.strands))
     same = k1 == k2
-    _emit({"equal": same}, "equal" if same else "not equal", args.format)
-    return 0 if same else 1
+    return 0 if same else 1, {"equal": same}, "equal" if same else "not equal"
 
 
-def cmd_conj(args) -> int:
+def cmd_conj(args) -> Outcome:
     x = parse_word(args.word, args.strands)
     g = parse_word(args.conjugator, args.strands)
     out = conjugate(x, g)
-    _emit({"strands": out.n, "word": format_word(out)}, format_word(out), args.format)
-    return 0
+    return 0, {"strands": out.n, "word": format_word(out)}, format_word(out)
 
 
-def cmd_band_expand(args) -> int:
+def cmd_band_expand(args) -> Outcome:
     w = parse_band_word(args.word, args.strands)
     out = expand_word(w)
-    payload = {"strands": out.n, "band": str(w), "word": format_word(out)}
-    _emit(payload, format_word(out), args.format)
-    return 0
+    return 0, {"strands": out.n, "band": str(w), "word": format_word(out)}, format_word(out)
 
 
-def cmd_delta2(args) -> int:
+def cmd_delta2(args) -> Outcome:
     out = delta_squared_word(args.strands)
-    _emit({"strands": out.n, "word": format_word(out)}, format_word(out), args.format)
-    return 0
+    return 0, {"strands": out.n, "word": format_word(out)}, format_word(out)
 
 
-def cmd_hurwitz_apply(args) -> int:
+def cmd_hurwitz_apply(args) -> Outcome:
     f = _factorization_from_json(_load_json_arg(args.factorization))
     moves = _moves_from_json(_load_json_arg(args.moves))
     out = apply_sequence(f, moves)
     payload = out.as_dict()
     payload["productKey"] = out.product_key
-    text = "\n".join(f"{i + 1}: {w}" for i, w in enumerate(payload["factors"]))
-    _emit(payload, text, args.format)
-    return 0
+    return 0, payload, "\n".join(f"{i + 1}: {w}" for i, w in enumerate(payload["factors"]))
 
 
-def cmd_hurwitz_path(args) -> int:
+def cmd_hurwitz_path(args) -> Outcome:
     f1 = _factorization_from_json(_load_json_arg(args.source))
     f2 = _factorization_from_json(_load_json_arg(args.target))
-    return _search_exit(find_path(f1, f2, args.depth_cap, args.size_cap), args.format)
+    return _search_exit(find_path(f1, f2, args.depth_cap, args.size_cap))
 
 
-def cmd_orbit(args) -> int:
+def cmd_orbit(args) -> Outcome:
     f = _factorization_from_json(_load_json_arg(args.factorization))
     rep = orbit_explore(f, args.depth_cap, args.size_cap)
     payload = rep.as_dict()
@@ -181,29 +169,24 @@ def cmd_orbit(args) -> int:
         del payload["keys"]
     depths = ",".join(str(c) for c in rep.depth_counts)
     text = f"visited={rep.visited} truncated={rep.truncated} depths={depths}"
-    _emit(payload, text, args.format)
-    return 2 if rep.truncated else 0
+    return 2 if rep.truncated else 0, payload, text
 
 
-def cmd_rewrite_class(args) -> int:
+def cmd_rewrite_class(args) -> Outcome:
     w = parse_band_word(args.word, args.strands)
     res = equivalence_class(w, **_given(size_cap=args.size_cap))
-    payload = res.as_dict()
     text = "\n".join([f"size={len(res.words)} truncated={res.truncated}"]
                      + [str(v) for v in res.words])
-    _emit(payload, text, args.format)
-    return 2 if res.truncated else 0
+    return 2 if res.truncated else 0, res.as_dict(), text
 
 
-def cmd_positive_path(args) -> int:
+def cmd_positive_path(args) -> Outcome:
     w1 = parse_band_word(args.word1, args.strands)
     w2 = parse_band_word(args.word2, args.strands)
-    return _search_exit(
-        hurwitz_path_positive(w1, w2, **_given(size_cap=args.size_cap)), args.format
-    )
+    return _search_exit(hurwitz_path_positive(w1, w2, **_given(size_cap=args.size_cap)))
 
 
-def cmd_semiframe(args) -> int:
+def cmd_semiframe(args) -> Outcome:
     m = map_from_json(_load_json_arg(args.map))
     verdict = check_semiframe(m)
     if verdict.accepted:
@@ -211,11 +194,10 @@ def cmd_semiframe(args) -> int:
         text = f"accepted witnesses={pairs}"
     else:
         text = f"rejected: {verdict.reason}"
-    _emit(verdict.as_dict(), text, args.format)
-    return 0 if verdict.accepted else 1
+    return 0 if verdict.accepted else 1, verdict.as_dict(), text
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Outcome:
     names = args.suites or list(SUITE_NAMES)
     for name in names:
         if name not in SUITE_NAMES:
@@ -237,12 +219,7 @@ def cmd_verify(args) -> int:
             line += f"\n  - {msg}"
         lines.append(line)
     payload = {"suites": reports, "ok": not hard_fail and not inconclusive}
-    _emit(payload, "\n".join(lines), args.format)
-    if hard_fail:
-        return 1
-    if inconclusive:
-        return 2
-    return 0
+    return 1 if hard_fail else 2 if inconclusive else 0, payload, "\n".join(lines)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -336,11 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (json.JSONDecodeError, OSError) as exc:
+        code, payload, text = globals()["cmd_" + args.command.replace("-", "_")](args)
+        print(json.dumps(payload, indent=2, sort_keys=True) if args.format == "json" else text)
+        return code
+    except (*InputError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ReplayError as exc:

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from .bands import Factorization
-from .words import compose, inverse
+from .words import compose_all, conjugate, inverse
 
 
 class MoveError(ValueError):
@@ -79,9 +79,9 @@ def apply_move(f: Factorization, m: Move) -> Factorization:
     i = m.k - 1
     x, y = f.factors[i], f.factors[i + 1]
     if m.direction == 1:
-        pair = (compose(compose(x, y), inverse(x)), x)
+        pair = (compose_all(f.n, (x, y, inverse(x))), x)
     else:
-        pair = (y, compose(compose(inverse(y), x), y))
+        pair = (y, conjugate(x, y))
     # Stored factors are reduced and so is the new pair: skip re-reducing.
     out = object.__new__(Factorization)
     object.__setattr__(out, "n", f.n)

@@ -28,8 +28,9 @@ puncture.
 JSON format: {"vertices": [{"id", "kind"}], "edges": [{"id", "ends":
 [v0, v1]}], "rotations": {vertexId: [dart ids, counterclockwise]},
 "outer": {componentId: faceIndex} (fixed mode), "mode": "free"|"fixed"}.
-Component ids are the smallest vertex id of the component; face indices
-count that component's faces in order of their smallest dart.
+Component ids are the smallest vertex id of the component; a face index
+is a position in the component's list from `face_indices`, which keeps
+its faces in order of their smallest dart.
 """
 
 from __future__ import annotations
@@ -127,27 +128,26 @@ def validate_map(m: CombMap) -> None:
 
 
 def _components(m: CombMap) -> dict[str, str]:
-    """Vertex id -> component id (the smallest vertex id of its component)."""
-    parent = {v.id: v.id for v in m.vertices}
+    """Vertex id -> component id (the smallest vertex id of its component).
 
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in m.edges:
-        a, b = find(e.ends[0]), find(e.ends[1])
-        if a != b:
-            parent[a] = b
-    roots: dict[str, list[str]] = {}
-    for v in parent:
-        roots.setdefault(find(v), []).append(v)
+    One depth-first pass over the vertex ids in sorted order: the first
+    vertex it reaches in a component is that component's smallest id.
+    """
+    adjacent: dict[str, list[str]] = {v.id: [] for v in m.vertices}
+    for a, b in (e.ends for e in m.edges):
+        adjacent[a].append(b)
+        adjacent[b].append(a)
     out: dict[str, str] = {}
-    for members in roots.values():
-        cid = min(members)
-        for v in members:
-            out[v] = cid
+    for root in sorted(adjacent):
+        if root in out:
+            continue
+        out[root] = root
+        stack = [root]
+        while stack:
+            for v in adjacent[stack.pop()]:
+                if v not in out:
+                    out[v] = root
+                    stack.append(v)
     return out
 
 
@@ -215,14 +215,11 @@ def trace_faces(m: CombMap) -> tuple[FaceWalk, ...]:
     return tuple(faces)
 
 
-def face_indices(faces: tuple[FaceWalk, ...]) -> dict[tuple[str, int], FaceWalk]:
-    """(componentId, per-component index) -> face, in traced order."""
-    out: dict[tuple[str, int], FaceWalk] = {}
-    counters: dict[str, int] = {}
+def face_indices(faces: tuple[FaceWalk, ...]) -> dict[str, list[FaceWalk]]:
+    """componentId -> its faces in traced order, so a face index is a list index."""
+    out: dict[str, list[FaceWalk]] = {}
     for f in faces:
-        i = counters.get(f.component, 0)
-        counters[f.component] = i + 1
-        out[(f.component, i)] = f
+        out.setdefault(f.component, []).append(f)
     return out
 
 
@@ -248,35 +245,21 @@ def check_semiframe(m: CombMap) -> Verdict:
     witness reported is the first such face index.  Fixed mode accepts
     only if the designated faces witness this.
     """
-    faces = trace_faces(m)
     puncture_ids = {v.id for v in m.vertices if v.kind == "puncture"}
-    # Every vertex lies on a face of its component (an isolated one on its
-    # synthetic face), so the faces name each component's punctures.
-    punctures: dict[str, set[str]] = {}
-    for f in faces:
-        punctures.setdefault(f.component, set()).update(puncture_ids.intersection(f.vertices))
-    indexed = face_indices(faces)
-    per_component: dict[str, list[tuple[int, FaceWalk]]] = {}
-    for (cid, i), f in indexed.items():
-        per_component.setdefault(cid, []).append((i, f))
-
     witnesses: dict[str, int] = {}
-    for cid in sorted(punctures):
-        need = punctures[cid]
+    for cid, faces in sorted(face_indices(trace_faces(m)).items()):
+        # Every vertex lies on a face of its component (an isolated one on
+        # its synthetic face), so the faces name the component's punctures.
+        need = puncture_ids.intersection(v for f in faces for v in f.vertices)
         if m.mode == "fixed":
             if cid not in m.outer:
                 raise MapError(f"fixed mode: no outer face designated for component {cid!r}")
-            idx = m.outer[cid]
-            if (cid, idx) not in indexed:
-                raise MapError(f"component {cid!r} has no face {idx}")
-            candidates = [(idx, indexed[(cid, idx)])]
+            if m.outer[cid] >= len(faces):
+                raise MapError(f"component {cid!r} has no face {m.outer[cid]}")
+            candidates = [m.outer[cid]]
         else:
-            candidates = sorted(per_component[cid])
-        found = None
-        for idx, f in candidates:
-            if need <= set(f.vertices):
-                found = idx
-                break
+            candidates = range(len(faces))
+        found = next((i for i in candidates if need <= set(faces[i].vertices)), None)
         if found is None:
             return Verdict(False, None, f"component {cid!r}: no candidate face sees all its punctures")
         witnesses[cid] = found
@@ -385,7 +368,8 @@ def band_subgraph_map(n: int, generators) -> CombMap:
     rotations = {v: tuple(d for _key, d in sorted(ends)) for v, ends in incident.items()}
 
     draft = CombMap(tuple(vertices), tuple(edges), rotations, "free", None)
-    face_of = {d: key for key, f in face_indices(trace_faces(draft)).items() for d in f.darts}
+    face_of = {d: (cid, i) for cid, faces in face_indices(trace_faces(draft)).items()
+               for i, f in enumerate(faces) for d in f.darts}
     outer: dict[str, int] = {}
     for j in range(1, n + 1):
         ring = rotations[f"p{j}"]

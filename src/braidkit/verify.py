@@ -53,6 +53,7 @@ from .words import (
 )
 
 DEFAULT_SEED = 1729
+ACTION_TRIALS = 200  # random words, then random factorizations, per action-axioms run
 
 SUITE_NAMES = (
     "relations",
@@ -265,7 +266,7 @@ def _random_factorization(rng: random.Random, n: int, size: int, max_len: int) -
     return Factorization(n, tuple(_random_word(rng, n, max_len) for _ in range(size)))
 
 
-def suite_action_axioms(n: int, seed: int = DEFAULT_SEED, trials: int = 200) -> dict:
+def suite_action_axioms(n: int, seed: int = DEFAULT_SEED) -> dict:
     failures: list[str] = []
     checks = 0
     idkey = action_key(BraidWord(n, ()))
@@ -289,14 +290,14 @@ def suite_action_axioms(n: int, seed: int = DEFAULT_SEED, trials: int = 200) -> 
             failures.append(f"action breaks cancellation at {i}")
 
     rng = random.Random(seed)
-    for _ in range(trials):
+    for _ in range(ACTION_TRIALS):
         w = _random_word(rng, n, 8)
         checks += 1
         if action_key(compose(w, inverse(w))) != idkey:
             failures.append(f"action of '{w}' does not invert")
 
     # Hurwitz move axioms on random factorizations.
-    for _ in range(trials):
+    for _ in range(ACTION_TRIALS):
         f = _random_factorization(rng, n, rng.randint(2, 5), 4)
         k = rng.randint(1, len(f) - 1)
         checks += 1
@@ -321,7 +322,8 @@ def suite_action_axioms(n: int, seed: int = DEFAULT_SEED, trials: int = 200) -> 
         seq = [Move(rng.randint(1, len(f) - 1), rng.choice([-1, 1])) for _ in range(10)]
         if apply_sequence(f, seq).product_key != f.product_key:
             failures.append("a random move sequence changed the product")
-    return _report("action-axioms", n, checks, sorted(set(failures)), seed=seed, trials=trials)
+    return _report("action-axioms", n, checks, sorted(set(failures)),
+                   seed=seed, trials=ACTION_TRIALS)
 
 
 def _given(**caps) -> dict:

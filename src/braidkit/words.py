@@ -107,15 +107,9 @@ def free_reduce(w: BraidWord) -> BraidWord:
     return BraidWord(w.n, _reduce(w.letters))
 
 
-def _same_strands(u: BraidWord, v: BraidWord) -> None:
-    if u.n != v.n:
-        raise WordError(f"strand counts differ: {u.n} vs {v.n}")
-
-
 def compose(u: BraidWord, v: BraidWord) -> BraidWord:
     """Concatenate and freely reduce."""
-    _same_strands(u, v)
-    return BraidWord(u.n, _reduce(u.letters + v.letters))
+    return compose_all(u.n, (u, v))
 
 
 def compose_all(n: int, words: Iterable[BraidWord]) -> BraidWord:
@@ -141,8 +135,7 @@ def conjugate(x: BraidWord, g: BraidWord) -> BraidWord:
     The direction is fixed so that the basic Hurwitz move on a pair
     (t1, t2) produces t1 t2 t1^-1 = conjugate(t2, inverse(t1)).
     """
-    _same_strands(x, g)
-    return compose(compose(inverse(g), x), g)
+    return compose_all(x.n, (inverse(g), x, g))
 
 
 def exponent_sum(w: BraidWord) -> int:

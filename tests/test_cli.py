@@ -357,7 +357,7 @@ def test_a_handler_patched_after_the_first_call_takes_effect(capsys, monkeypatch
 
     assert run(capsys, "eq", "1", "1")[0] == 0
     seen = []
-    monkeypatch.setattr(cli, "cmd_eq", lambda args: seen.append(args.word1) or 7)
+    monkeypatch.setattr(cli, "cmd_eq", lambda args: seen.append(args.word1) or (7, {}, ""))
     assert run(capsys, "eq", "2", "1")[0] == 7
     assert seen == ["2"]
 
@@ -380,3 +380,17 @@ def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
     finally:
         cli.build_parser.cache_clear()
     assert built.count("braidkit") == 1
+
+
+def test_a_failed_write_still_exits_malformed(capsys, monkeypatch):
+    import errno
+    import os
+    import sys
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["delta2"]) == 3
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"

@@ -125,8 +125,21 @@ def test_triangle_faces():
     assert len(faces) == 2
     assert all(f.component == "p1" for f in faces)
     assert all(f.vertices == ("p1", "p2", "p3") for f in faces)
-    idx = face_indices(faces)
-    assert set(idx) == {("p1", 0), ("p1", 1)}
+    assert face_indices(faces) == {"p1": list(faces)}
+
+
+def test_component_ids_do_not_depend_on_vertex_order():
+    # A triangle on the p's and one edge q2-q1, with every vertex listed
+    # after a larger id: each component is still named by its smallest id.
+    m = CombMap(
+        tuple(Vertex(v, "puncture") for v in ("q2", "q1", "p3", "p2", "p1")),
+        triangle().edges + (Edge("d", ("q2", "q1")),),
+        {**triangle().rotations, "q2": ("d:0",), "q1": ("d:1",)},
+    )
+    assert {f.component for f in trace_faces(m)} == {"p1", "q1"}
+    assert check_semiframe(m).witnesses == {"p1": 0, "q1": 0}
+    fixed = CombMap(m.vertices, m.edges, m.rotations, "fixed", {"p1": 1, "q1": 0})
+    assert check_semiframe(fixed).accepted
 
 
 def test_theta_graph_planar_rotations():
@@ -208,7 +221,7 @@ def test_band_map_full_n4():
     v = check_semiframe(m)
     assert v.accepted
     # The witnessing outer face sees every puncture and no crossing.
-    outer = face_indices(faces)[("c0", v.witnesses["c0"])]
+    outer = face_indices(faces)["c0"][v.witnesses["c0"]]
     assert set(outer.vertices) == {"p1", "p2", "p3", "p4"}
 
 
@@ -383,8 +396,9 @@ def assert_matches_point_geometry(n, gens):
     # Faces lie right of their walks, so every bounded face has negative
     # area; a tree's single face has area 0.
     areas = {
-        key: shoelace([coords[at_vertex[d]] for d in f.darts]) if f.darts else 0
-        for key, f in face_indices(trace_faces(m)).items()
+        (cid, i): shoelace([coords[at_vertex[d]] for d in f.darts]) if f.darts else 0
+        for cid, faces in face_indices(trace_faces(m)).items()
+        for i, f in enumerate(faces)
     }
     largest = {}
     for cid, i in sorted(areas):
