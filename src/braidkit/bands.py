@@ -29,6 +29,7 @@ from .normalform import canonical_key, equal
 from .perms import is_transposition
 from .words import (
     BraidWord,
+    _check_strands,
     compose,
     compose_all,
     conjugate,
@@ -93,10 +94,6 @@ def parse_band_word(text: str, n: int) -> BandWord:
             raise BandError(f"bad band token {token!r}: expected integers t:s") from None
         letters.append(BandGenerator(n, t, s))
     return BandWord(n, tuple(letters))
-
-
-def format_band_word(w: BandWord) -> str:
-    return str(w)
 
 
 def all_generators(n: int) -> tuple[BandGenerator, ...]:
@@ -243,6 +240,7 @@ class Factorization:
     factors: tuple[BraidWord, ...]
 
     def __post_init__(self) -> None:
+        _check_strands(self.n)
         for f in self.factors:
             if f.n != self.n:
                 raise BandError(f"factor strand count {f.n}, expected {self.n}")

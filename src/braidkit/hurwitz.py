@@ -24,7 +24,7 @@ adjacent pair at a time through the caller's `pairs` table: one
 visited map with parent links, one size cap that sets `capped` only
 when it turns an unvisited state away, and one parent walk for reading
 a path back.  Every path a search reports is replayed first on real
-factorizations or band words, and a mismatch raises `ReplayError`.
+factorizations, and a mismatch raises `ReplayError`.
 
 Serialized moves are signed integers: k stands for R_k and -k for
 R_k^-1.
@@ -275,7 +275,7 @@ class PathResult:
     From `find_path`, "not_comparable" means the product keys differ, so
     no sequence can exist.  "not_found" with truncated False means the
     reachable orbit was exhausted; with truncated True a cap stopped the
-    search and the result says nothing either way.  The compiled search
+    search and the result says nothing either way.  The rewrite search
     `rewriting.hurwitz_path_positive` reports "not_equal" and
     "inconclusive" in place of the last two.
     """

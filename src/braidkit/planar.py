@@ -414,19 +414,28 @@ def map_to_json(m: CombMap) -> dict:
     return out
 
 
+def _text(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise MapError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def map_from_json(data: dict) -> CombMap:
+    """The map of a JSON object; `trace_faces` validates its structure."""
     try:
-        vertices = tuple(Vertex(v["id"], v["kind"]) for v in data["vertices"])
-        edges = tuple(
-            Edge(e["id"], (e["ends"][0], e["ends"][1])) for e in data["edges"]
-        )
-        rotations = {v: tuple(ring) for v, ring in data.get("rotations", {}).items()}
+        vertices = tuple(Vertex(_text(v["id"], "vertex id"), _text(v["kind"], "vertex kind"))
+                         for v in data["vertices"])
+        edges = tuple(Edge(_text(e["id"], "edge id"), (_text(e["ends"][0], "edge end"),
+                                                        _text(e["ends"][1], "edge end")))
+                      for e in data["edges"])
+        rotations = {
+            v: tuple(_text(d, "rotation dart") for d in ring)
+            for v, ring in data.get("rotations", {}).items()
+        }
         mode = data.get("mode", "free")
         outer = data.get("outer")
         if outer is not None:
             outer = {str(k): v for k, v in outer.items()}
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise MapError(f"malformed map JSON: {exc}") from None
-    m = CombMap(vertices, edges, rotations, mode, outer)
-    validate_map(m)
-    return m
+    return CombMap(vertices, edges, rotations, mode, outer)

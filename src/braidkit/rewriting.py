@@ -4,16 +4,17 @@ Two positive band words that are equal as braids can be transformed
 into one another by single relation applications on adjacent letters,
 staying positive throughout.  This module performs that search and
 translates each relation step into the Hurwitz move that realizes it on
-the expanded factorizations.  Closures and relation paths are grown by
-the breadth-first `SearchTree` of `hurwitz` over packed words: each
+the expanded factorizations.  Closures and path searches grow the
+breadth-first `SearchTree` of `hurwitz` over packed words: each
 letter a_{t,s} is its index in `all_generators`, which keeps the (t, s)
 order, so sorting packed words sorts the words.  A per-n dict, built
 once from `classify_pair` and `apply_step`, maps every ordered pair of
 packed letters to its (replacement pair, rule) rewrites in `RULES`
 order; its `__getitem__` is the tree's `pairs`, and the public
 `neighbors` expands through the same tree, so the rules have one
-source.  `BandWord`s and `RelationStep`s are built only for results;
-compiled paths come back as the `PathResult` of `hurwitz`.
+source.  `BandWord`s are built only for results, and a found path's
+steps only to compile them: `hurwitz_path_positive` replays the moves
+and returns the `PathResult` of `hurwitz`.
 
 A step names the 1-based position of the left letter of the rewritten
 pair and one of seven rules.  The chain relation's three equal products
@@ -136,9 +137,6 @@ class ClosureResult:
     words: tuple[BandWord, ...]
     truncated: bool
 
-    def __contains__(self, w: BandWord) -> bool:
-        return w in set(self.words)
-
     def as_dict(self) -> dict:
         return {
             "size": len(self.words),
@@ -170,59 +168,6 @@ def equivalence_class(w: BandWord, size_cap: int = 10**6) -> ClosureResult:
     return ClosureResult(words, tree.capped)
 
 
-@dataclass(frozen=True)
-class RewritePath:
-    start: BandWord
-    end: BandWord
-    steps: tuple[RelationStep, ...]
-
-    def replay(self) -> BandWord:
-        w = self.start
-        for step in self.steps:
-            w = apply_step(w, step)
-        return w
-
-
-@dataclass(frozen=True)
-class RelationPathResult:
-    """status: found / not_equal (conclusive) / inconclusive (capped)."""
-
-    status: str
-    path: RewritePath | None
-    visited: int
-    truncated: bool
-
-
-def relation_path(w1: BandWord, w2: BandWord, size_cap: int = 10**6) -> RelationPathResult:
-    """Shortest sequence of relation steps from w1 to w2.
-
-    Words of different lengths are never relation-equivalent (every rule
-    preserves length), so that case is conclusively not_equal.  When the
-    closure of w1 completes without meeting w2, not_equal is likewise
-    conclusive; if the size cap fired first the answer is inconclusive.
-    Frontiers are expanded in sorted word order, fixing which of the
-    shortest paths is returned.
-    """
-    if w1.n != w2.n:
-        raise BandError(f"strand counts differ: {w1.n} vs {w2.n}")
-    if len(w1) != len(w2):
-        return RelationPathResult("not_equal", None, 0, False)
-    target = _pack(w2)
-    tree = _tree(w1)
-    if tree.root == target:
-        return RelationPathResult("found", RewritePath(w1, w2, ()), 1, False)
-    while tree.frontier:
-        tree.frontier.sort()
-        for word in tree.grow(size_cap):
-            if word == target:
-                steps = tuple(RelationStep(*step) for step in tree.path(target))
-                path = RewritePath(w1, w2, steps)
-                check_replay(_pack(path.replay()), target, "rewrite path")
-                return RelationPathResult("found", path, len(tree.parents), tree.capped)
-    status = "inconclusive" if tree.capped else "not_equal"
-    return RelationPathResult(status, None, len(tree.parents), tree.capped)
-
-
 def step_to_move(step: RelationStep) -> Move:
     """The Hurwitz move realizing a relation step on expanded factors.
 
@@ -233,21 +178,33 @@ def step_to_move(step: RelationStep) -> Move:
     return Move(step.position, 1 if step.rule in _FORWARD else -1)
 
 
-def hurwitz_path_positive(
-    w1: BandWord, w2: BandWord, size_cap: int = 10**6
-) -> PathResult:
-    """Compile the relation path between two positive band words to moves.
+def hurwitz_path_positive(w1: BandWord, w2: BandWord, size_cap: int = 10**6) -> PathResult:
+    """Shortest relation path from w1 to w2, compiled to Hurwitz moves.
 
-    The returned sequence is replay-verified: applied to the expanded
-    factorization of w1 it reproduces the expanded factorization of w2,
-    factor keys matching position by position.
+    Words of different lengths are never relation-equivalent (every rule
+    preserves length), so that case is conclusively not_equal.  When the
+    closure of w1 completes without meeting w2, not_equal is likewise
+    conclusive; if the size cap fired first the answer is inconclusive.
+    Frontiers are expanded in sorted word order, fixing which of the
+    shortest paths is returned.  Each step compiles through
+    `step_to_move`, and the moves are replay-verified: applied to the
+    expanded factorization of w1 they reproduce the expanded
+    factorization of w2, factor keys matching position by position.
     """
-    res = relation_path(w1, w2, size_cap)
-    if res.status != "found":
-        return PathResult(res.status, None, res.visited, res.truncated)
-    moves = tuple(step_to_move(s) for s in res.path.steps)
-    replayed = apply_sequence(band_factorization(w1), moves)
-    check_replay(
-        replayed.factor_keys, band_factorization(w2).factor_keys, "compiled move sequence"
-    )
-    return PathResult("found", moves, res.visited, res.truncated)
+    if w1.n != w2.n:
+        raise BandError(f"strand counts differ: {w1.n} vs {w2.n}")
+    if len(w1) != len(w2):
+        return PathResult("not_equal", None, 0, False)
+    target = _pack(w2)
+    tree = _tree(w1)
+    found = tree.root == target
+    while tree.frontier and not found:
+        tree.frontier.sort()
+        found = target in tree.grow(size_cap)  # stops the layer at the target
+    if not found:
+        status = "inconclusive" if tree.capped else "not_equal"
+        return PathResult(status, None, len(tree.parents), tree.capped)
+    moves = tuple(step_to_move(RelationStep(*step)) for step in tree.path(target))
+    replayed = apply_sequence(band_factorization(w1), moves).factor_keys
+    check_replay(replayed, band_factorization(w2).factor_keys, "compiled move sequence")
+    return PathResult("found", moves, len(tree.parents), tree.capped)

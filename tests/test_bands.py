@@ -15,14 +15,13 @@ from braidkit.bands import (
     delta_squared_word,
     expand,
     expand_word,
-    format_band_word,
     is_central,
     is_half_twist_shape,
     parse_band_word,
     standard_factorization,
 )
 from braidkit.normalform import canonical_key, equal
-from braidkit.words import BraidWord, exponent_sum, format_word, generator, parse_word
+from braidkit.words import BraidWord, WordError, exponent_sum, format_word, generator, parse_word
 
 
 def g(n, t, s):
@@ -50,7 +49,7 @@ def test_all_generators_count_and_order():
 def test_parse_and_format():
     w = parse_band_word("3:1 2:1", 3)
     assert len(w) == 2
-    assert format_band_word(w) == "3:1 2:1"
+    assert str(w) == "3:1 2:1"
     with pytest.raises(BandError):
         parse_band_word("31", 3)
     with pytest.raises(BandError):
@@ -167,6 +166,12 @@ def test_factorization_reduces_factors_and_keys():
 def test_factorization_rejects_strand_mismatch():
     with pytest.raises(BandError):
         Factorization(3, (parse_word("1", 4),))
+
+
+def test_factorization_needs_two_strands():
+    for n in (0, 1):
+        with pytest.raises(WordError):
+            Factorization(n, ())
 
 
 def test_band_factorization():

@@ -286,12 +286,36 @@ ONE_PUNCTURE = {"vertices": [{"id": "p1", "kind": "puncture"}], "edges": [],
     ("hurwitz-apply", FACT, "[true]"),
     ("hurwitz-apply", '{"strands": 3, "factors": ["1", "2", "1"]}', "[1.5]"),
     ("semiframe", json.dumps(dict(ONE_PUNCTURE, outer={"p1": "x"}))),
+    ("semiframe", '{"vertices": [{"id": [1], "kind": "puncture"}], "edges": []}'),
+    ("semiframe", json.dumps(dict(ONE_PUNCTURE, rotations={"p1": [["a", 0]]}))),
+    ("orbit", '{"strands": 0, "factors": []}'),
+    ("hurwitz-path", '{"strands": 1, "factors": []}', '{"strands": 1, "factors": []}'),
+    ("hurwitz-apply", '{"strands": 1, "factors": []}', "[]"),
 ])
 def test_malformed_json_values_are_input_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_a_semiframe_map_is_validated_once(capsys, monkeypatch):
+    from braidkit import planar
+    from braidkit.bands import all_generators
+
+    data = json.dumps(map_to_json(planar.band_subgraph_map(6, all_generators(6))))
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    real = planar.validate_map
+    monkeypatch.setattr(planar, "validate_map", counted)
+    code, out, _ = run(capsys, "semiframe", data)
+    assert code == 0 and out.startswith("accepted")
+    assert len(calls) == 1
 
 
 def test_a_failed_replay_exits_inconclusive(capsys, monkeypatch):

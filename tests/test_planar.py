@@ -305,6 +305,21 @@ def test_json_malformed():
         map_from_json({})
 
 
+@pytest.mark.parametrize("path", [
+    ("vertices", 0, "id"), ("vertices", 0, "kind"), ("edges", 0, "id"),
+    ("edges", 0, "ends", 1), ("rotations", "p1", 0),
+])
+def test_json_fields_must_be_strings(path):
+    data = map_to_json(triangle())
+    *head, last = path
+    at = data
+    for key in head:
+        at = at[key]
+    at[last] = 1
+    with pytest.raises(MapError, match="must be a string"):
+        map_from_json(data)
+
+
 # -- reference: drawn maps against exact point geometry -----------------------
 #
 # The oracle places puncture j at (x_j, x_j^2) and derives everything from

@@ -11,7 +11,6 @@ from braidkit.rewriting import (
     equivalence_class,
     hurwitz_path_positive,
     neighbors,
-    relation_path,
     step_to_move,
 )
 
@@ -77,9 +76,9 @@ def test_equivalence_class_of_a_chain_pair():
     closure = equivalence_class(bw("3:2 2:1"))
     assert len(closure.words) == 3
     assert not closure.truncated
-    assert bw("3:1 3:2") in closure
-    assert bw("2:1 3:1") in closure
-    assert bw("2:1 3:2") not in closure
+    assert bw("3:1 3:2") in closure.words
+    assert bw("2:1 3:1") in closure.words
+    assert bw("2:1 3:2") not in closure.words
 
 
 def test_equivalence_class_respects_size_cap():
@@ -89,25 +88,18 @@ def test_equivalence_class_respects_size_cap():
 
 
 def test_relation_path_found_and_replayed():
-    res = relation_path(bw("3:2 2:1"), bw("2:1 3:1"))
+    res = hurwitz_path_positive(bw("3:2 2:1"), bw("2:1 3:1"))
     assert res.status == "found"
-    assert len(res.path.steps) == 1
-    assert res.path.steps[0] == RelationStep(1, "A->C")
-    assert res.path.replay() == bw("2:1 3:1")
-
-
-def test_relation_path_trivial():
-    res = relation_path(bw("3:2 2:1"), bw("3:2 2:1"))
-    assert res.status == "found"
-    assert res.path.steps == ()
+    # One A->C step, which compiles to R_1^-1.
+    assert res.moves == (Move(1, -1),)
 
 
 def test_relation_path_conclusive_not_equal():
-    res = relation_path(bw("2:1 3:2"), bw("3:2 2:1"))
+    res = hurwitz_path_positive(bw("2:1 3:2"), bw("3:2 2:1"))
     assert res.status == "not_equal"
     assert not res.truncated
     # Different lengths are settled without any search.
-    res = relation_path(bw("2:1"), bw("2:1 2:1"))
+    res = hurwitz_path_positive(bw("2:1"), bw("2:1 2:1"))
     assert res.status == "not_equal"
     assert res.visited == 0
 
@@ -115,14 +107,14 @@ def test_relation_path_conclusive_not_equal():
 def test_relation_path_inconclusive_when_capped():
     w1 = bw("2:1 3:2 2:1 3:2 2:1 3:2")
     w2 = bw("3:2 2:1 3:2 2:1 3:2 2:1")
-    res = relation_path(w1, w2, size_cap=3)
+    res = hurwitz_path_positive(w1, w2, size_cap=3)
     assert res.status == "inconclusive"
     assert res.truncated
 
 
 def test_relation_path_strand_mismatch():
     with pytest.raises(BandError):
-        relation_path(bw("2:1"), bw("2:1", 4))
+        hurwitz_path_positive(bw("2:1"), bw("2:1", 4))
 
 
 def test_step_to_move_table():

@@ -27,7 +27,8 @@ from braidkit.rewriting import (
     _letter_table,
     apply_step,
     equivalence_class,
-    relation_path,
+    hurwitz_path_positive,
+    step_to_move,
 )
 from braidkit.words import parse_word
 
@@ -47,7 +48,8 @@ def orbit_of_a_pair(cap):
 
 
 def exhaustive_relation_path(cap):
-    res = relation_path(parse_band_word("3:2 2:1", 3), parse_band_word("2:1 2:1", 3), cap)
+    res = hurwitz_path_positive(
+        parse_band_word("3:2 2:1", 3), parse_band_word("2:1 2:1", 3), cap)
     return res.visited, res.truncated
 
 
@@ -97,8 +99,6 @@ hurwitz.apply_sequence = lambda f, moves: f
 expect_replay_error("find_path", lambda: hurwitz.find_path(f1, f2))
 rewriting.apply_sequence = lambda f, moves: f
 expect_replay_error("hurwitz_path_positive", lambda: rewriting.hurwitz_path_positive(w1, w2))
-rewriting.RewritePath.replay = lambda path: path.start
-expect_replay_error("relation_path", lambda: rewriting.relation_path(w1, w2))
 verify.step_to_move = lambda step, real=verify.step_to_move: real(step).inverted()
 expect_replay_error("suite_twist_closure", lambda: verify.suite_twist_closure(3))
 """
@@ -113,7 +113,7 @@ def test_corrupted_replays_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "find_path", "hurwitz_path_positive", "relation_path", "suite_twist_closure"]
+        "find_path", "hurwitz_path_positive", "suite_twist_closure"]
 
 
 # -- The interned searches against references over the public moves ----------
@@ -306,6 +306,11 @@ def reference_closure(w, size_cap):
 
 
 def reference_relation_path(w1, w2, size_cap):
+    """The shortest relation path, its steps compiled by `step_to_move`.
+
+    Comparing moves compares steps: at a given position of a given word
+    the move direction picks exactly one rule.
+    """
     target = letters(w2)
     parents = {letters(w1): (None, None)}
     if letters(w1) == target:
@@ -328,7 +333,7 @@ def reference_relation_path(w1, w2, size_cap):
                     while parents[key][0] is not None:
                         key, step = parents[key]
                         steps.append(step)
-                    return "found", tuple(steps[::-1]), len(parents), capped
+                    return "found", tuple(map(step_to_move, steps[::-1])), len(parents), capped
                 nxt.append(nb)
         frontier = nxt
     return ("inconclusive" if capped else "not_equal"), None, len(parents), capped
@@ -354,14 +359,13 @@ def test_closures_and_relation_paths_match_references_over_band_words():
         closures.add(res.truncated)
         end = rewrite_walk(start, rng, steps)
         for size_cap in (cap, 3):
-            res = relation_path(start, end, size_cap)
-            steps_got = None if res.path is None else res.path.steps
-            got = (res.status, steps_got, res.visited, res.truncated)
+            res = hurwitz_path_positive(start, end, size_cap)
+            got = (res.status, res.moves, res.visited, res.truncated)
             assert got == reference_relation_path(start, end, size_cap), (start, end, size_cap)
             statuses.add(res.status)
     other = parse_band_word("2:1 3:2 2:1 3:2 2:1 3:1", 3)
-    res = relation_path(twist_word(3), other, 10**6)
-    assert (res.status, None, res.visited, res.truncated) == reference_relation_path(
+    res = hurwitz_path_positive(twist_word(3), other, 10**6)
+    assert (res.status, res.moves, res.visited, res.truncated) == reference_relation_path(
         twist_word(3), other, 10**6)
     statuses.add(res.status)
     assert closures == {True, False}
