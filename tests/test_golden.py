@@ -2,6 +2,9 @@
 
 Each case runs `braidkit.cli.main` in-process and compares stdout and
 the exit code byte for byte with `golden_cli.json`.  The cases cover
+`nf` at n = 3-6 on words with negative letters, on the empty word and
+on a spelling of Delta^2, an equal and an unequal `eq` pair, `conj`,
+`band-expand`, `delta2`, `hurwitz-apply` with a mixed-sign move list,
 every `verify` suite at 3 strands in both formats, the two 4-strand
 suites that stop at a cap, every status of `hurwitz-path` and
 `positive-path`, capped and uncapped `orbit --keys` and
@@ -78,6 +81,17 @@ def cases():
     def both(name, argv):
         for f in FORMATS:
             out.append((f"{name}/{f}", argv[:1] + ["--format", f] + argv[1:]))
+
+    for label, n, word in (("3", 3, "1 -2 1 1"), ("4", 4, "-1 2 -3 1 3"),
+                           ("5", 5, "2 -4 1 -3 -3 4 2"), ("6", 6, "-5 3 -1 2 -4 1 5 -2"),
+                           ("empty-3", 3, ""), ("delta-squared-4", 4, "1 2 3 1 2 1 3 2 1 3 2 3")):
+        both(f"nf-{label}", ["nf", "--strands", str(n), word])
+    both("eq-equal", ["eq", "--strands", "3", "-1 2 1", "2 1 -2"])
+    both("eq-not-equal", ["eq", "--strands", "3", "1 2", "2 1"])
+    both("conj", ["conj", "--strands", "4", "1 3", "2 -1"])
+    both("band-expand", ["band-expand", "--strands", "4", "4:1 3:2 2:1"])
+    both("delta2", ["delta2", "--strands", "4"])
+    both("hurwitz-apply", ["hurwitz-apply", STD3, "[1, -2, 3, -1, 5]"])
 
     for suite in SUITES:
         both(f"verify-{suite}-3", ["verify", suite, "--strands", "3"])
