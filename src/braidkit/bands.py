@@ -70,6 +70,7 @@ class BandWord:
     letters: tuple[BandGenerator, ...] = ()
 
     def __post_init__(self) -> None:
+        _check_strands(self.n)
         for a in self.letters:
             if a.n != self.n:
                 raise BandError(f"letter {a} has strand count {a.n}, expected {self.n}")

@@ -250,12 +250,9 @@ def orbit_explore(
     while tree.frontier:
         if depth_cap is not None and tree.depth >= depth_cap:
             # Not allowed to expand further; the orbit is complete only
-            # if the frontier has no unvisited neighbors, which a layer
-            # with no room for new states reveals by capping.
-            if not tree.capped:
-                for _ in tree.grow(0):
-                    if tree.capped:
-                        break
+            # if the frontier has no unvisited neighbors.
+            tree.capped = tree.capped or any(
+                nb not in tree.parents for at in tree.frontier for nb, _ in tree.expand(at))
             break
         for _ in tree.grow(size_cap):
             pass

@@ -8,8 +8,9 @@ sequence is left weighted: the finishing set of f_k contains the
 starting set of f_{k+1}.  That data is unique, so braids are compared by
 comparing it.
 
-Each letter becomes one factor, negative letters borrowing a Delta^-1
-that floats to the front.  The factors are then multiplied in one at a
+One forward pass reads each letter as one factor, negative letters
+borrowing a Delta^-1 that floats to the front and mirrors the index of
+every factor it passes.  The factors are then multiplied in one at a
 time, in Thurston's incremental way (Epstein et al., *Word Processing in
 Groups*, 1992, ch. 9): after each factor the sequence is made left
 weighted again by a walk leftward from the new pair that stops at the
@@ -20,8 +21,7 @@ The permutation conventions follow `perms`: one-line tuples are
 0-based and `compose(p, q)` applies p first.  Under that convention the
 starting set of a factor is `left_descents` and the finishing set is
 `right_descents`, letter sigma_i contributes the adjacent transposition
-at 0-based position i - 1, and tau(p) = w0 p w0 is the conjugation that
-carries a factor through one power of Delta.
+at 0-based position i - 1.
 """
 
 from __future__ import annotations
@@ -53,10 +53,6 @@ class NormalForm:
     @property
     def canonical_length(self) -> int:
         return len(self.factors)
-
-
-def _tau(p: Perm, w0: Perm) -> Perm:
-    return perms.compose(perms.compose(w0, p), w0)
 
 
 def _transfer(a: list[int], ai: list[int], b: list[int], bi: list[int]) -> bool:
@@ -121,25 +117,17 @@ def normal_form(w: BraidWord) -> NormalForm:
     # One factor per letter, negative letters borrowing an inverse half
     # twist: sigma_i^-1 = Delta^-1 (Delta sigma_i^-1) and the bracketed
     # braid is the permutation braid w0 with values i-1, i exchanged.
-    pows: list[int] = []
-    raw: list[Perm] = []
-    for index, sign in w.letters:
-        if sign == 1:
-            pows.append(0)
-            raw.append(perms.transposition(n, index - 1))
-        else:
-            pows.append(-1)
-            raw.append(perms.swap_values(w0, index - 1))
-    # Float every Delta power to the front; a factor is twisted by tau
-    # once for each Delta passing through it from the right.
-    total = sum(pows)
-    suffix = 0
+    # Every borrowed Delta^-1 floats to the front, mirroring sigma_i to
+    # sigma_{n-i} in each factor it passes, so a letter with an odd
+    # number of negative letters to its right is read at index n - i.
+    right = sum(sign < 0 for _, sign in w.letters)
+    total = -right
     factors: list[Perm] = []
-    for k in range(len(raw) - 1, -1, -1):
-        factors.append(_tau(raw[k], w0) if suffix % 2 else raw[k])
-        suffix += pows[k]
-    factors.reverse()
-
+    for index, sign in w.letters:
+        if sign < 0:
+            right -= 1
+        i = n - index - 1 if right % 2 else index - 1
+        factors.append(perms.transposition(n, i) if sign > 0 else perms.swap_values(w0, i))
     factors = _left_weighted(factors, n)
     while factors and factors[0] == w0:
         factors.pop(0)

@@ -7,11 +7,11 @@ translates each relation step into the Hurwitz move that realizes it on
 the expanded factorizations.  Closures and path searches grow the
 breadth-first `SearchTree` of `hurwitz` over packed words: each
 letter a_{t,s} is its index in `all_generators`, which keeps the (t, s)
-order, so sorting packed words sorts the words.  A per-n dict, built
-once from `classify_pair` and `apply_step`, maps every ordered pair of
-packed letters to its (replacement pair, rule) rewrites in `RULES`
-order; its `__getitem__` is the tree's `pairs`, and the public
-`neighbors` expands through the same tree, so the rules have one
+order, so sorting packed words sorts the words.  A per-n dict maps each
+ordered pair of packed letters to its (replacement pair, rule) rewrites
+in `RULES` order, read off `classify_pair` and `apply_step` on the
+pair's first lookup; its `__getitem__` is the tree's `pairs`, and the
+public `neighbors` expands through the same tree, so the rules have one
 source.  `BandWord`s are built only for results, and a found path's
 steps only to compile them: `hurwitz_path_positive` replays the moves
 and returns the `PathResult` of `hurwitz`.
@@ -33,6 +33,7 @@ from functools import lru_cache
 
 from .bands import (
     BandError,
+    BandGenerator,
     BandWord,
     PairClass,
     all_generators,
@@ -91,22 +92,31 @@ def _pack(w: BandWord) -> tuple[int, ...]:
     return tuple((a.t - 1) * (a.t - 2) // 2 + a.s - 1 for a in w.letters)
 
 
+class _PairTable(dict):
+    """The rewrites of each ordered pair of packed letters, filled on first lookup.
+
+    `self[x, y]` lists the (packed replacement pair, rule) rewrites of
+    the packed pair x y in search order (the order of RULES), read off
+    `classify_pair` and `apply_step` once per pair a search meets.
+    """
+
+    def __init__(self, gens: tuple[BandGenerator, ...]) -> None:
+        super().__init__()
+        self.gens = gens
+
+    def __missing__(self, pair: tuple[int, int]):
+        x, y = self.gens[pair[0]], self.gens[pair[1]]
+        cls, word = classify_pair(x, y), BandWord(x.n, (x, y))
+        self[pair] = rewrites = tuple((_pack(apply_step(word, RelationStep(1, rule))), rule)
+                                      for rule in RULES if _RULE_SOURCE[rule] is cls)
+        return rewrites
+
+
 @lru_cache(maxsize=None)
 def _letter_table(n: int):
-    """The generators on n strands and the rewrites of each ordered pair.
-
-    `pairs[x, y]` lists the (packed replacement pair, rule) rewrites of
-    the packed pair x y in search order (the order of RULES), read off
-    `classify_pair` and `apply_step` once.
-    """
+    """The generators on n strands and their `_PairTable`."""
     gens = all_generators(n)
-    pairs = {}
-    for i, x in enumerate(gens):
-        for j, y in enumerate(gens):
-            cls, pair = classify_pair(x, y), BandWord(n, (x, y))
-            pairs[i, j] = tuple((_pack(apply_step(pair, RelationStep(1, rule))), rule)
-                                for rule in RULES if _RULE_SOURCE[rule] is cls)
-    return gens, pairs
+    return gens, _PairTable(gens)
 
 
 def _tree(w: BandWord) -> SearchTree:

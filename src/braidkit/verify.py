@@ -43,6 +43,7 @@ from .rewriting import (
 )
 from .words import (
     BraidWord,
+    _check_strands,
     compose,
     compose_all,
     conjugate,
@@ -68,16 +69,14 @@ SUITE_NAMES = (
 
 def _report(suite: str, n: int, checks: int, failures: list[str],
             inconclusive: bool = False, **extra) -> dict:
-    out = {
-        "suite": suite,
-        "strands": n,
-        "checks": checks,
-        "failures": failures,
-        "ok": not failures,
-        "inconclusive": inconclusive,
-    }
-    out.update(extra)
-    return out
+    return {"suite": suite, "strands": n, "checks": checks, "failures": failures,
+            "ok": not failures, "inconclusive": inconclusive, **extra}
+
+
+def _tally(checks) -> tuple[int, list[str]]:
+    """The number of (passed, failure text) checks, and the texts of those that failed."""
+    results = list(checks)
+    return len(results), [text for passed, text in results if not passed]
 
 
 def suite_relations(n: int) -> dict:
@@ -89,76 +88,66 @@ def suite_relations(n: int) -> dict:
 
 
 def suite_centrality(n: int) -> dict:
-    failures: list[str] = []
-    checks = 0
+    return _report("centrality", n, *_tally(_centrality_checks(n)))
+
+
+def _centrality_checks(n: int):
     d2 = delta_squared_word(n)
-    checks += 1
-    if not is_central(d2):
-        failures.append("full twist fails centrality")
-    checks += 1
-    if exponent_sum(d2) != n * (n - 1):
-        failures.append(f"full twist exponent sum {exponent_sum(d2)} != {n * (n - 1)}")
+    yield is_central(d2), "full twist fails centrality"
+    yield (exponent_sum(d2) == n * (n - 1),
+           f"full twist exponent sum {exponent_sum(d2)} != {n * (n - 1)}")
     # Conjugation by the half twist reverses the generator order.
     delta = delta_word(n)
     for i in range(1, n):
-        checks += 1
-        if not equal(conjugate(generator(n, i), delta), generator(n, n - i)):
-            failures.append(f"half-twist conjugation fails on generator {i}")
-    checks += 1
-    if standard_factorization(n).product_key != canonical_key(d2):
-        failures.append("standard factorization product differs from the full twist")
+        yield (equal(conjugate(generator(n, i), delta), generator(n, n - i)),
+               f"half-twist conjugation fails on generator {i}")
+    yield (standard_factorization(n).product_key == canonical_key(d2),
+           "standard factorization product differs from the full twist")
     for b in (generator(n, 1), compose(generator(n, 1), generator(n, n - 1))):
-        checks += 1
-        if conjugated_factorization(n, b).product_key != canonical_key(d2):
-            failures.append(f"conjugated factorization by '{b}' has wrong product")
-    return _report("centrality", n, checks, failures)
+        yield (conjugated_factorization(n, b).product_key == canonical_key(d2),
+               f"conjugated factorization by '{b}' has wrong product")
 
 
 def suite_chain_rules(n: int) -> dict:
     """Every relation step is realized, on expansions, by its compiled move."""
-    failures: list[str] = []
-    checks = 0
+    commuting = [(x, y) for x, y in itertools.permutations(all_generators(n), 2)
+                 if classify_pair(x, y) is PairClass.COMMUTING]
+    return _report("chain-rules", n, *_tally(_chain_rule_checks(n, commuting)),
+                   commutingPairs=len(commuting))
+
+
+def _realizes(src: BandWord, step: RelationStep, rewritten: BandWord) -> bool:
+    """Whether the compiled move of step takes src's expansion to rewritten's."""
+    moved = apply_move(band_factorization(src), step_to_move(step))
+    return moved.factor_keys == band_factorization(rewritten).factor_keys
+
+
+def _chain_rule_checks(n: int, commuting):
     rules = [rule for rule in RULES if rule != "Comm"]
     for t, s, r in itertools.combinations(range(n, 0, -1), 3):
         words = {form: BandWord(n, pair) for form, pair in chain_forms(n, t, s, r).items()}
         # The conjugation identity behind the move table.
-        checks += 1
         lhs = conjugate(expand(BandGenerator(n, s, r)), inverse(expand(BandGenerator(n, t, s))))
-        if not equal(lhs, expand(BandGenerator(n, t, r))):
-            failures.append(f"conjugation identity fails at triple ({t},{s},{r})")
+        yield (equal(lhs, expand(BandGenerator(n, t, r))),
+               f"conjugation identity fails at triple ({t},{s},{r})")
         for rule in rules:
             step = RelationStep(1, rule)
-            src = words[rule[0]]
-            checks += 1
-            rewritten = apply_step(src, step)
-            if rewritten != words[rule[-1]]:
-                failures.append(f"step {rule} at ({t},{s},{r}) rewrites wrongly")
-                continue
-            moved = apply_move(band_factorization(src), step_to_move(step))
-            if moved.factor_keys != band_factorization(rewritten).factor_keys:
-                failures.append(f"move for {rule} at ({t},{s},{r}) does not realize the step")
-    pairs = 0
-    for x, y in itertools.permutations(all_generators(n), 2):
-        if classify_pair(x, y) is not PairClass.COMMUTING:
-            continue
-        pairs += 1
-        checks += 1
+            src, want = words[rule[0]], words[rule[-1]]
+            if apply_step(src, step) != want:
+                yield False, f"step {rule} at ({t},{s},{r}) rewrites wrongly"
+            else:
+                yield (_realizes(src, step, want),
+                       f"move for {rule} at ({t},{s},{r}) does not realize the step")
+    step = RelationStep(1, "Comm")
+    for x, y in commuting:
         src = BandWord(n, (x, y))
-        step = RelationStep(1, "Comm")
-        rewritten = apply_step(src, step)
-        moved = apply_move(band_factorization(src), step_to_move(step))
-        if moved.factor_keys != band_factorization(rewritten).factor_keys:
-            failures.append(f"commuting move fails on ({x},{y})")
-    return _report("chain-rules", n, checks, failures, commutingPairs=pairs)
+        yield _realizes(src, step, apply_step(src, step)), f"commuting move fails on ({x},{y})"
 
 
 def _positive_corpus(n: int, max_len: int) -> list[BandWord]:
     gens = all_generators(n)
-    corpus: list[BandWord] = []
-    for length in range(max_len + 1):
-        for combo in itertools.product(gens, repeat=length):
-            corpus.append(BandWord(n, combo))
-    return corpus
+    return [BandWord(n, combo)
+            for length in range(max_len + 1) for combo in itertools.product(gens, repeat=length)]
 
 
 def suite_embedding(n: int, max_len: int | None = None) -> dict:
@@ -256,10 +245,8 @@ def suite_conjugated_split(n: int, depth_cap: int = 8, size_cap: int = 5000) -> 
 
 
 def _random_word(rng: random.Random, n: int, max_len: int) -> BraidWord:
-    letters = []
-    for _ in range(rng.randint(0, max_len)):
-        letters.append((rng.randint(1, n - 1), rng.choice([-1, 1])))
-    return BraidWord(n, tuple(letters))
+    length = rng.randint(0, max_len)
+    return BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice([-1, 1])) for _ in range(length)))
 
 
 def _random_factorization(rng: random.Random, n: int, size: int, max_len: int) -> Factorization:
@@ -267,63 +254,51 @@ def _random_factorization(rng: random.Random, n: int, size: int, max_len: int) -
 
 
 def suite_action_axioms(n: int, seed: int = DEFAULT_SEED) -> dict:
-    failures: list[str] = []
-    checks = 0
+    checks, failures = _tally(_action_checks(n, seed))
+    return _report("action-axioms", n, checks, sorted(set(failures)),
+                   seed=seed, trials=ACTION_TRIALS)
+
+
+def _action_checks(n: int, seed: int):
     idkey = action_key(BraidWord(n, ()))
     for i in range(1, n - 1):
-        checks += 1
         u = compose_all(n, [generator(n, i), generator(n, i + 1), generator(n, i)])
         v = compose_all(n, [generator(n, i + 1), generator(n, i), generator(n, i + 1)])
-        if action_key(u) != action_key(v):
-            failures.append(f"action breaks the braid relation at {i}")
-    for i, j in itertools.combinations(range(1, n), 2):
-        if j - i < 2:
-            continue
-        checks += 1
-        if action_key(compose(generator(n, i), generator(n, j))) != action_key(
-            compose(generator(n, j), generator(n, i))
-        ):
-            failures.append(f"action breaks far commutation at ({i},{j})")
+        yield action_key(u) == action_key(v), f"action breaks the braid relation at {i}"
     for i in range(1, n):
-        checks += 1
-        if action_key(compose(generator(n, i), generator(n, i, -1))) != idkey:
-            failures.append(f"action breaks cancellation at {i}")
+        for j in range(i + 2, n):
+            yield (action_key(compose(generator(n, i), generator(n, j)))
+                   == action_key(compose(generator(n, j), generator(n, i))),
+                   f"action breaks far commutation at ({i},{j})")
+    for i in range(1, n):
+        yield (action_key(compose(generator(n, i), generator(n, i, -1))) == idkey,
+               f"action breaks cancellation at {i}")
 
     rng = random.Random(seed)
     for _ in range(ACTION_TRIALS):
         w = _random_word(rng, n, 8)
-        checks += 1
-        if action_key(compose(w, inverse(w))) != idkey:
-            failures.append(f"action of '{w}' does not invert")
+        yield action_key(compose(w, inverse(w))) == idkey, f"action of '{w}' does not invert"
 
     # Hurwitz move axioms on random factorizations.
     for _ in range(ACTION_TRIALS):
         f = _random_factorization(rng, n, rng.randint(2, 5), 4)
         k = rng.randint(1, len(f) - 1)
-        checks += 1
         again = apply_move(apply_move(f, Move(k, 1)), Move(k, -1))
-        if tuple_key(again) != tuple_key(f):
-            failures.append("a move composed with its inverse is not the identity")
+        yield (tuple_key(again) == tuple_key(f),
+               "a move composed with its inverse is not the identity")
         if len(f) >= 3:
             k = rng.randint(1, len(f) - 2)
-            checks += 1
             lhs = apply_sequence(f, [Move(k, 1), Move(k + 1, 1), Move(k, 1)])
             rhs = apply_sequence(f, [Move(k + 1, 1), Move(k, 1), Move(k + 1, 1)])
-            if tuple_key(lhs) != tuple_key(rhs):
-                failures.append("moves break their own braid relation")
+            yield tuple_key(lhs) == tuple_key(rhs), "moves break their own braid relation"
         if len(f) >= 4:
-            checks += 1
             j = rng.randint(3, len(f) - 1)
             lhs = apply_sequence(f, [Move(1, 1), Move(j, 1)])
             rhs = apply_sequence(f, [Move(j, 1), Move(1, 1)])
-            if tuple_key(lhs) != tuple_key(rhs):
-                failures.append("far moves fail to commute")
-        checks += 1
+            yield tuple_key(lhs) == tuple_key(rhs), "far moves fail to commute"
         seq = [Move(rng.randint(1, len(f) - 1), rng.choice([-1, 1])) for _ in range(10)]
-        if apply_sequence(f, seq).product_key != f.product_key:
-            failures.append("a random move sequence changed the product")
-    return _report("action-axioms", n, checks, sorted(set(failures)),
-                   seed=seed, trials=ACTION_TRIALS)
+        yield (apply_sequence(f, seq).product_key == f.product_key,
+               "a random move sequence changed the product")
 
 
 def _given(**caps) -> dict:
@@ -339,6 +314,7 @@ def run_suite(
     size_cap: int | None = None,
 ) -> dict:
     """Run one named suite; a cap left as None takes the suite's default."""
+    _check_strands(n)
     if name == "relations":
         return suite_relations(n)
     if name == "centrality":

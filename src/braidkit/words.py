@@ -156,7 +156,6 @@ def generator(n: int, i: int, sign: int = 1) -> BraidWord:
 
 def delta_word(n: int) -> BraidWord:
     """The positive half-twist word (s1)(s2 s1)...(s_{n-1} ... s1)."""
-    _check_strands(n)
     letters: list[Letter] = []
     for t in range(1, n):
         letters.extend((i, 1) for i in range(t, 0, -1))

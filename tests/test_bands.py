@@ -174,6 +174,14 @@ def test_factorization_needs_two_strands():
             Factorization(n, ())
 
 
+def test_band_word_needs_two_strands():
+    for n in (0, 1):
+        with pytest.raises(WordError):
+            BandWord(n)
+        with pytest.raises(WordError):
+            parse_band_word("", n)
+
+
 def test_band_factorization():
     f = band_factorization(parse_band_word("3:1 2:1", 3))
     assert [format_word(w) for w in f.factors] == ["2 1 -2", "1"]

@@ -5,6 +5,7 @@ import pytest
 
 from braidkit.cli import main
 from braidkit.planar import map_to_json
+from braidkit.verify import SUITE_NAMES
 
 FACT = json.dumps({"strands": 3, "factors": ["1", "2"]})
 FACT_MOVED = json.dumps({"strands": 3, "factors": ["1 2 -1", "1"]})
@@ -298,6 +299,18 @@ def test_malformed_json_values_are_input_errors(capsys, argv):
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("strands", ["0", "1"])
+@pytest.mark.parametrize("argv", [
+    ("rewrite-class", ""), ("positive-path", "", ""), ("band-expand", ""),
+    ("nf", ""), ("eq", "", ""), ("conj", "", ""), ("delta2",),
+    *(("verify", suite) for suite in SUITE_NAMES),
+], ids=lambda argv: "-".join(filter(None, argv)))
+def test_fewer_than_two_strands_is_malformed_input(capsys, argv, strands):
+    code, out, err = run(capsys, *argv, "--strands", strands)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_a_semiframe_map_is_validated_once(capsys, monkeypatch):

@@ -283,6 +283,14 @@ def test_the_packed_pair_table_agrees_with_classify_pair_and_apply_step(n):
             assert (not got) == (classify_pair(x, y) is PairClass.INTERLEAVED)
 
 
+def test_the_pair_table_fills_only_the_pairs_a_search_looks_up():
+    _letter_table.cache_clear()
+    assert len(equivalence_class(parse_band_word("2:1", 40)).words) == 1
+    assert len(_letter_table(40)[1]) == 0
+    assert len(equivalence_class(parse_band_word("3:2 2:1", 40)).words) == 3
+    assert len(_letter_table(40)[1]) == 3
+
+
 def letters(w):
     return tuple((a.t, a.s) for a in w.letters)
 

@@ -1,8 +1,9 @@
-"""Suite reports: the embedding components and the inconclusive rule."""
+"""Suite reports: the embedding components, check tallies and the inconclusive rule."""
 
 import pytest
 
 from braidkit import verify
+from braidkit.bands import BandWord
 from braidkit.hurwitz import PathResult, ReplayError
 from braidkit.verify import run_suite, suite_conjugated_split, suite_embedding
 
@@ -43,6 +44,23 @@ def test_a_conclusive_miss_beside_a_capped_search_is_a_failure(monkeypatch):
     rep = suite_conjugated_split(3)
     assert (rep["ok"], rep["inconclusive"]) == (False, False)
     assert len(rep["failures"]) == 2
+
+
+def test_a_wrong_rewrite_fails_its_rule_once_and_skips_the_move_check(monkeypatch):
+    monkeypatch.setattr(verify, "apply_step", lambda w, step: BandWord(w.n, w.letters[::-1]))
+    rep = verify.suite_chain_rules(4)
+    assert (rep["checks"], rep["commutingPairs"], rep["ok"]) == (32, 4, False)
+    assert len(rep["failures"]) == 24
+    assert all(msg.endswith("rewrites wrongly") for msg in rep["failures"])
+
+
+def test_a_wrong_compiled_move_fails_every_chain_rule(monkeypatch):
+    real = verify.step_to_move
+    monkeypatch.setattr(verify, "step_to_move", lambda step: real(step).inverted())
+    rep = verify.suite_chain_rules(4)
+    assert rep["checks"] == 32
+    assert len(rep["failures"]) == 24
+    assert all(msg.endswith("does not realize the step") for msg in rep["failures"])
 
 
 def test_a_capped_twist_closure_is_inconclusive():
