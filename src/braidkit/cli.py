@@ -58,12 +58,16 @@ Outcome = tuple[int, dict, str]
 
 def _load_json_arg(arg: str):
     """A file path, ``-`` for stdin, or an inline JSON literal."""
+    text = arg
     if arg == "-":
-        return json.load(sys.stdin)
-    if os.path.exists(arg):
+        text = sys.stdin.read()
+    elif os.path.exists(arg):
         with open(arg, encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(arg)
+            text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:  # nested past the decoder's recursion limit
+        raise json.JSONDecodeError("JSON nested too deeply", text, 0) from None
 
 
 def _is_int(v) -> bool:

@@ -8,14 +8,14 @@ sequence is left weighted: the finishing set of f_k contains the
 starting set of f_{k+1}.  That data is unique, so braids are compared by
 comparing it.
 
-One forward pass reads each letter as one factor, negative letters
-borrowing a Delta^-1 that floats to the front and mirrors the index of
-every factor it passes.  The factors are then multiplied in one at a
-time, in Thurston's incremental way (Epstein et al., *Word Processing in
-Groups*, 1992, ch. 9): after each factor the sequence is made left
-weighted again by a walk leftward from the new pair that stops at the
-first pair left unchanged, so the cost follows the letters that move,
-not a sweep over the whole sequence.
+One forward pass cuts the word into maximal simple chunks of one sign.
+A positive chunk is one factor; a negative chunk borrows one Delta^-1
+that floats to the front and mirrors every chunk it passes.  The
+factors are then multiplied in one at a time, in Thurston's incremental
+way (Epstein et al., *Word Processing in Groups*, 1992, ch. 9): after
+each factor the sequence is made left weighted again by a walk leftward
+from the new pair that stops at the first pair left unchanged, so the
+cost follows the letters that move, not a sweep over the whole sequence.
 
 The permutation conventions follow `perms`: one-line tuples are
 0-based and `compose(p, q)` applies p first.  Under that convention the
@@ -82,12 +82,13 @@ def _transfer(a: list[int], ai: list[int], b: list[int], bi: list[int]) -> bool:
     return moved
 
 
-def _left_weighted(factors: list[Perm], n: int) -> list[Perm]:
+def _left_weighted(factors: list[tuple[list[int], list[int]]], n: int) -> list[Perm]:
     """The left-weighted factor sequence of a product of simple factors.
 
     Thurston's incremental right multiplication (Epstein et al., *Word
     Processing in Groups*, 1992, ch. 9; El-Rifai and Morton, "Algorithms
-    for positive braids", Quart. J. Math. 45, 1994): the factors are
+    for positive braids", Quart. J. Math. 45, 1994): the factors, each a
+    (permutation, inverse) pair of lists that is changed in place, are
     appended one at a time to a sequence that is already left weighted.
     After an append only the new pair can be out of order; making it left
     weighted grows its left factor, which can unsettle the pair before
@@ -99,9 +100,9 @@ def _left_weighted(factors: list[Perm], n: int) -> list[Perm]:
     identity = list(range(n))
     facs: list[list[int]] = []
     invs: list[list[int]] = []
-    for p in factors:
-        facs.append(list(p))
-        invs.append(list(perms.inverse(p)))
+    for p, pi in factors:
+        facs.append(p)
+        invs.append(pi)
         k = len(facs) - 1
         while k and _transfer(facs[k - 1], invs[k - 1], facs[k], invs[k]):
             k -= 1
@@ -111,24 +112,52 @@ def _left_weighted(factors: list[Perm], n: int) -> list[Perm]:
     return [tuple(f) for f in facs]
 
 
-def normal_form(w: BraidWord) -> NormalForm:
+def _chunks(w: BraidWord) -> list[tuple[int, list[int], list[int]]]:
+    """Cut w into maximal simple chunks of one sign: (sign, q, q inverse).
+
+    q is the permutation of the chunk's letters read forward.  A letter
+    sigma_i joins while the sign stays and sigma_i is not in q's
+    finishing set (q^-1[i] < q^-1[i+1]), so the chunk stays a
+    permutation braid; it swaps values i and i+1 of q.  For a negative
+    run r^-1, with r its letters reversed, q is r^-1 and q^-1 is r: the
+    test reads r[i] < r[i+1] and the step swaps positions i and i+1 of r.
+    """
     n = w.n
-    w0 = perms.longest(n)
-    # One factor per letter, negative letters borrowing an inverse half
-    # twist: sigma_i^-1 = Delta^-1 (Delta sigma_i^-1) and the bracketed
-    # braid is the permutation braid w0 with values i-1, i exchanged.
-    # Every borrowed Delta^-1 floats to the front, mirroring sigma_i to
-    # sigma_{n-i} in each factor it passes, so a letter with an odd
-    # number of negative letters to its right is read at index n - i.
-    right = sum(sign < 0 for _, sign in w.letters)
+    chunks: list[tuple[int, list[int], list[int]]] = []
+    sign, q, qi = 0, [], []
+    for index, s in w.letters:
+        i = index - 1
+        if s != sign or qi[i] > qi[i + 1]:
+            sign, q, qi = s, list(range(n)), list(range(n))
+            chunks.append((s, q, qi))
+        a, b = qi[i], qi[i + 1]
+        q[a], q[b] = i + 1, i
+        qi[i], qi[i + 1] = b, a
+    return chunks
+
+
+def normal_form(w: BraidWord) -> NormalForm:
+    n, m = w.n, w.n - 1
+    chunks = _chunks(w)
+    # A negative chunk r^-1 borrows one inverse half twist:
+    # r^-1 = Delta^-1 (Delta r^-1), and the bracketed braid is the
+    # permutation braid w0 r^-1, the chunk's q read backwards, with
+    # inverse r w0.  Every borrowed Delta^-1 floats to the front,
+    # mirroring sigma_i to sigma_{n-i} in each chunk it passes, so a
+    # chunk with an odd number of negative chunks to its right is
+    # mirrored: positions and values both read from the other end.
+    right = sum(s < 0 for s, _, _ in chunks)
     total = -right
-    factors: list[Perm] = []
-    for index, sign in w.letters:
-        if sign < 0:
+    pairs: list[tuple[list[int], list[int]]] = []
+    for s, q, qi in chunks:
+        if s < 0:
             right -= 1
-        i = n - index - 1 if right % 2 else index - 1
-        factors.append(perms.transposition(n, i) if sign > 0 else perms.swap_values(w0, i))
-    factors = _left_weighted(factors, n)
+            q, qi = q[::-1], [m - v for v in qi]
+        if right % 2:
+            q, qi = [m - v for v in reversed(q)], [m - v for v in reversed(qi)]
+        pairs.append((q, qi))
+    w0 = perms.longest(n)
+    factors = _left_weighted(pairs, n)
     while factors and factors[0] == w0:
         factors.pop(0)
         total += 1

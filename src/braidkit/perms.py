@@ -48,11 +48,6 @@ def right_descents(p: Perm) -> set[int]:
     return left_descents(inverse(p))
 
 
-def swap_values(p: Perm, i: int) -> Perm:
-    """p followed by the transposition of values i, i+1 (append a letter)."""
-    return tuple(i + 1 if v == i else i if v == i + 1 else v for v in p)
-
-
 def swap_positions(p: Perm, i: int) -> Perm:
     """The transposition of positions i, i+1 followed by p (strip a letter)."""
     q = list(p)

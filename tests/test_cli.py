@@ -272,6 +272,22 @@ def test_bad_json_is_an_input_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("source", ["inline", "file", "stdin"])
+def test_json_nested_past_the_recursion_limit_is_an_input_error(
+        capsys, monkeypatch, tmp_path, source):
+    deep = "[" * 100_000
+    arg = deep
+    if source == "file":
+        arg = str(tmp_path / "deep.json")
+        (tmp_path / "deep.json").write_text(deep, encoding="utf-8")
+    elif source == "stdin":
+        arg = "-"
+        monkeypatch.setattr("sys.stdin", io.StringIO(deep))
+    code, out, err = run(capsys, "orbit", arg)
+    assert code == 3 and out == ""
+    assert err.startswith("error: JSON nested too deeply") and err.count("\n") == 1
+
+
 def test_usage_error_raises_systemexit():
     with pytest.raises(SystemExit):
         main([])

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from braidkit import perms
 from braidkit.freegroup import words_act_equally
-from braidkit.normalform import canonical_key, equal, normal_form, to_word
+from braidkit.normalform import (
+    NormalForm,
+    _left_weighted,
+    canonical_key,
+    equal,
+    normal_form,
+    to_word,
+)
 from braidkit.words import (
     BraidWord,
     compose,
@@ -31,6 +38,8 @@ def test_half_twist_absorbs_into_delta_power():
     nf = normal_form(delta_word(4))
     assert nf.delta_power == 1
     assert nf.factors == ()
+    for n in (3, 4, 5):
+        assert normal_form(inverse(delta_word(n))) == NormalForm(n, -1, ())
 
 
 def test_single_generator():
@@ -161,3 +170,60 @@ def test_long_word_normal_form_completes():
     nf = normal_form(w)
     assert_normal(nf)
     assert normal_form(to_word(nf)) == nf
+
+
+def one_factor_per_letter(w):
+    """The earlier construction, kept as a reference for the chunked one.
+
+    Every letter is its own simple factor.  sigma_i^-1 borrows its own
+    Delta^-1, leaving w0 with values i-1, i exchanged, and a letter with
+    an odd number of negative letters to its right is read at n - i.
+    """
+    n = w.n
+    w0 = perms.longest(n)
+    right = sum(sign < 0 for _, sign in w.letters)
+    power = -right
+    pairs = []
+    for index, sign in w.letters:
+        right -= sign < 0
+        t = perms.transposition(n, n - index - 1 if right % 2 else index - 1)
+        f = t if sign > 0 else perms.compose(w0, t)
+        pairs.append((list(f), list(perms.inverse(f))))
+    factors = _left_weighted(pairs, n)
+    while factors and factors[0] == w0:
+        factors.pop(0)
+        power += 1
+    return NormalForm(n, power, tuple(factors))
+
+
+@st.composite
+def biased_words(draw):
+    # A sign bias drawn per word makes long runs of one sign, so chunks
+    # grow long and their count to the right takes both parities.
+    n = draw(st.integers(2, 10))
+    bias = draw(st.floats(0, 1))
+    drawn = draw(st.lists(st.tuples(st.integers(1, n - 1), st.floats(0, 1)), max_size=200))
+    return BraidWord(n, tuple((i, 1 if f < bias else -1) for i, f in drawn))
+
+
+@settings(max_examples=300, deadline=None)
+@given(biased_words())
+def test_chunked_normal_form_matches_one_factor_per_letter(w):
+    assert normal_form(w) == one_factor_per_letter(w)
+
+
+@pytest.mark.parametrize("n, text", [
+    (4, "1 2 1 3 2 1"),  # Delta as one positive chunk
+    (4, "-1 -2 -1 -3 -2 -1"),  # Delta^-1 as one negative chunk
+    (3, "1 1"),  # the second sigma1 starts a new chunk
+    (3, "-1 -2 -1"),
+    (3, "-1 -1"),
+    (4, "2 -1 -3 1"),  # sigma2 is mirrored: one negative chunk of two letters
+    (4, "1 -2 -3 2 -1"),  # sigma1 is not: two negative chunks follow it
+    (4, "2 -1 3 -2 -3 1"),
+    (5, "1 2 -4 -3 -4 3 -1 -1 2 -2 -4"),
+    (2, "1 -1 -1 1 1 -1"),
+])
+def test_chunked_normal_form_on_pinned_words(n, text):
+    w = parse_word(text, n)
+    assert normal_form(w) == one_factor_per_letter(w)

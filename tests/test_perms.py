@@ -40,12 +40,6 @@ def test_descents():
 
 
 @pytest.mark.parametrize("i", [0, 1, 2])
-def test_swap_values_appends_a_letter(i):
-    for p in itertools.permutations(range(4)):
-        assert perms.swap_values(p, i) == perms.compose(p, perms.transposition(4, i))
-
-
-@pytest.mark.parametrize("i", [0, 1, 2])
 def test_swap_positions_prepends_a_letter(i):
     for p in itertools.permutations(range(4)):
         assert perms.swap_positions(p, i) == perms.compose(perms.transposition(4, i), p)
