@@ -21,9 +21,11 @@ reproducible run to run.
 Every breadth-first search in the package, these two and the relation
 rewrites of `rewriting`, grows a `SearchTree` whose states change one
 adjacent pair at a time through the caller's `pairs` table: one
-visited map with parent links, one size cap that sets `capped` only
-when it turns an unvisited state away, and one parent walk for reading
-a path back.  Every path a search reports is replayed first on real
+visited map with parent links and layer sizes, one closure walk, one
+cap rule (a tree always holds its root; a size cap turns every later
+state away once that many are held, and sets `capped` only when it
+turns an unvisited state away), and one parent walk for reading a path
+back.  Every path a search reports is replayed first on real
 factorizations, and a mismatch raises `ReplayError`.
 
 Serialized moves are signed integers: k stands for R_k and -k for
@@ -123,8 +125,9 @@ class SearchTree:
     position, left to right, `pairs(state[i:i+2])` lists the (replacement
     pair, label) rewrites in search order; a step is (1-based position,
     label).  `parents` maps each visited state to (parent, step), with
-    (None, None) at the root; `frontier` holds the newest layer, and
-    `capped` records that a size cap turned an unvisited neighbor away.
+    (None, None) at the root, which is always held; `frontier` holds the
+    newest layer, `layers` each non-empty layer's size from the root's 1,
+    and `capped` records that a cap turned an unvisited neighbor away.
     """
 
     def __init__(self, root: tuple, pairs) -> None:
@@ -132,7 +135,7 @@ class SearchTree:
         self.pairs = pairs
         self.parents = {root: (None, None)}
         self.frontier = [root]
-        self.depth = 0
+        self.layers = [1]
         self.capped = False
 
     def expand(self, state: tuple):
@@ -148,7 +151,7 @@ class SearchTree:
 
         Yields each newly admitted state, and None once every neighbor of
         a frontier state has been examined, so a caller can stop between
-        states.  The frontier and depth advance only when the whole layer
+        states.  The frontier and layers advance only when the whole layer
         has been expanded.
         """
         parents, expand = self.parents, self.expand
@@ -166,7 +169,20 @@ class SearchTree:
                 yield nb
             yield None
         self.frontier = nxt
-        self.depth += 1
+        if nxt:
+            self.layers.append(len(nxt))
+
+    def close(self, size_cap: int | None, depth_cap: int | None = None) -> SearchTree:
+        """Grow the tree until its frontier is empty or at depth_cap; returns it."""
+        while self.frontier:
+            if depth_cap is not None and len(self.layers) > depth_cap:
+                # The tree is capped only if the frontier has an unvisited neighbor.
+                self.capped = self.capped or any(
+                    nb not in self.parents for at in self.frontier for nb, _ in self.expand(at))
+                break
+            for _ in self.grow(size_cap):
+                pass
+        return self
 
     def path(self, at) -> list:
         """The steps leading from the root to the visited state `at`."""
@@ -242,26 +258,12 @@ def orbit_explore(
     orbit: a cap only sets the flag when it actually blocks an unvisited
     neighbor, so generous caps on a small orbit stay untruncated.
     """
-    if size_cap is not None and size_cap < 1:
-        return OrbitReport(0, (), True, ())
     table = _FactorTable(f.n)
-    tree = SearchTree(table.state(f), table.__getitem__)
-    depth_counts = [1]
-    while tree.frontier:
-        if depth_cap is not None and tree.depth >= depth_cap:
-            # Not allowed to expand further; the orbit is complete only
-            # if the frontier has no unvisited neighbors.
-            tree.capped = tree.capped or any(
-                nb not in tree.parents for at in tree.frontier for nb, _ in tree.expand(at))
-            break
-        for _ in tree.grow(size_cap):
-            pass
-        if tree.frontier:
-            depth_counts.append(len(tree.frontier))
+    tree = SearchTree(table.state(f), table.__getitem__).close(size_cap, depth_cap)
     # Ids were handed out in insertion order, so they index the key list.
     factor_keys = list(table.ids)
     keys = sorted(";".join(factor_keys[i] for i in state) for state in tree.parents)
-    return OrbitReport(len(tree.parents), tuple(depth_counts), tree.capped, tuple(keys))
+    return OrbitReport(len(tree.parents), tuple(tree.layers), tree.capped, tuple(keys))
 
 
 @dataclass(frozen=True)
@@ -323,7 +325,7 @@ def find_path(
         return PathResult("not_comparable", None, 0, False)
 
     while fwd.frontier and bwd.frontier:
-        if depth_cap is not None and fwd.depth + bwd.depth >= depth_cap:
+        if depth_cap is not None and len(fwd.layers) + len(bwd.layers) - 2 >= depth_cap:
             return PathResult(
                 "not_found", None, len(fwd.parents) + len(bwd.parents), True
             )

@@ -71,13 +71,6 @@ def dart(edge_id: str, side: int) -> str:
     return f"{edge_id}:{side}"
 
 
-def dart_edge_side(d: str) -> tuple[str, int]:
-    edge_id, _, side = d.rpartition(":")
-    if side not in ("0", "1") or not edge_id:
-        raise MapError(f"bad dart id {d!r}")
-    return edge_id, int(side)
-
-
 def validate_map(m: CombMap) -> None:
     """Check the structural invariants; raise MapError on the first failure."""
     kinds: dict[str, str] = {}
@@ -173,24 +166,18 @@ def trace_faces(m: CombMap) -> tuple[FaceWalk, ...]:
         for i, d in enumerate(ring):
             at_vertex[d] = v
             succ[d] = ring[(i + 1) % len(ring)]
-
-    def twin(d: str) -> str:
-        edge_id, side = dart_edge_side(d)
-        return dart(edge_id, 1 - side)
+    # A face walk leaves each dart for its twin's rotation successor.
+    after = {dart(e.id, side): succ[dart(e.id, 1 - side)] for e in m.edges for side in (0, 1)}
 
     faces: list[FaceWalk] = []
-    remaining = set(at_vertex)
-    while remaining:
-        start = min(remaining)
-        walk = [start]
-        remaining.discard(start)
-        d = succ[twin(start)]
-        while d != start:
+    for start in sorted(after):
+        walk, d = [], start
+        while d in after:
             walk.append(d)
-            remaining.discard(d)
-            d = succ[twin(d)]
-        vertices = tuple(sorted({at_vertex[x] for x in walk}))
-        faces.append(FaceWalk(comp_of[at_vertex[start]], tuple(walk), vertices))
+            d = after.pop(d)
+        if walk:
+            vertices = tuple(sorted({at_vertex[x] for x in walk}))
+            faces.append(FaceWalk(comp_of[at_vertex[start]], tuple(walk), vertices))
 
     touched = {f.component for f in faces}
     for v in m.vertices:

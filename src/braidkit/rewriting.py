@@ -7,14 +7,13 @@ translates each relation step into the Hurwitz move that realizes it on
 the expanded factorizations.  Closures and path searches grow the
 breadth-first `SearchTree` of `hurwitz` over packed words: each
 letter a_{t,s} is its index in `all_generators`, which keeps the (t, s)
-order, so sorting packed words sorts the words.  A per-n dict maps each
-ordered pair of packed letters to its (replacement pair, rule) rewrites
-in `RULES` order, read off `classify_pair` and `apply_step` on the
-pair's first lookup; its `__getitem__` is the tree's `pairs`, and the
-public `neighbors` expands through the same tree, so the rules have one
-source.  `BandWord`s are built only for results, and a found path's
-steps only to compile them: `hurwitz_path_positive` replays the moves
-and returns the `PathResult` of `hurwitz`.
+order, so sorting packed words sorts the words.  `_rewrites` alone says
+which rewrites apply to an ordered pair of letters: `apply_step` reads
+it, and a per-n dict packs its answer per pair on first lookup; that
+dict's `__getitem__` is the tree's `pairs`, which `neighbors` expands.
+`BandWord`s are built only for results, and a found path's steps only
+to compile them: `hurwitz_path_positive` replays the moves and returns
+the `PathResult` of `hurwitz`.
 
 A step names the 1-based position of the left letter of the rewritten
 pair and one of seven rules.  The chain relation's three equal products
@@ -47,15 +46,6 @@ from .hurwitz import Move, PathResult, SearchTree, apply_sequence, check_replay
 RULES = ("A->B", "B->C", "C->A", "B->A", "C->B", "A->C", "Comm")
 
 _FORWARD = {"A->B", "B->C", "C->A", "Comm"}
-_RULE_SOURCE = {
-    "A->B": PairClass.CHAIN_A,
-    "A->C": PairClass.CHAIN_A,
-    "B->C": PairClass.CHAIN_B,
-    "B->A": PairClass.CHAIN_B,
-    "C->A": PairClass.CHAIN_C,
-    "C->B": PairClass.CHAIN_C,
-    "Comm": PairClass.COMMUTING,
-}
 
 
 @dataclass(frozen=True)
@@ -70,34 +60,45 @@ class RelationStep:
             raise BandError(f"unknown rule {self.rule!r}")
 
 
+def _rewrites(x: BandGenerator, y: BandGenerator) -> tuple:
+    """The (replacement pair, rule) rewrites of the ordered pair x y, in RULES order.
+
+    A chain pair moves to the other two forms of its relation, a
+    commuting pair swaps, and any other pair has no rewrite.
+    """
+    cls = classify_pair(x, y)
+    if cls is PairClass.COMMUTING:
+        return (((y, x), "Comm"),)
+    if cls is PairClass.INTERLEAVED:
+        return ()
+    forms = chain_forms(x.n, *chain_triple(x, y))
+    here = next(form for form, pair in forms.items() if pair == (x, y))
+    return tuple((forms[rule[-1]], rule) for rule in RULES if rule.startswith(here + "->"))
+
+
 def apply_step(w: BandWord, step: RelationStep) -> BandWord:
     """Rewrite one adjacent pair of w according to the step's rule."""
     i = step.position - 1
     if i + 1 >= len(w.letters):
         raise BandError(f"step position {step.position} out of range for length {len(w)}")
     x, y = w.letters[i], w.letters[i + 1]
-    cls = classify_pair(x, y)
-    if cls is not _RULE_SOURCE[step.rule]:
-        raise BandError(f"rule {step.rule} does not apply to the {cls.value} pair {x} {y}")
-    if step.rule == "Comm":
-        pair = (y, x)
-    else:
-        forms = chain_forms(w.n, *chain_triple(x, y))
-        pair = forms[step.rule[-1]]
-    return BandWord(w.n, w.letters[:i] + pair + w.letters[i + 2 :])
+    for pair, rule in _rewrites(x, y):
+        if rule == step.rule:
+            return BandWord(w.n, w.letters[:i] + pair + w.letters[i + 2 :])
+    raise BandError(f"rule {step.rule} does not apply to the {classify_pair(x, y).value} pair {x} {y}")
 
 
-def _pack(w: BandWord) -> tuple[int, ...]:
+def _pack(letters: tuple[BandGenerator, ...]) -> tuple[int, ...]:
     """Each letter a_{t,s} as its index in `all_generators`, which keeps the (t, s) order."""
-    return tuple((a.t - 1) * (a.t - 2) // 2 + a.s - 1 for a in w.letters)
+    return tuple((a.t - 1) * (a.t - 2) // 2 + a.s - 1 for a in letters)
 
 
 class _PairTable(dict):
     """The rewrites of each ordered pair of packed letters, filled on first lookup.
 
     `self[x, y]` lists the (packed replacement pair, rule) rewrites of
-    the packed pair x y in search order (the order of RULES), read off
-    `classify_pair` and `apply_step` once per pair a search meets.
+    the packed pair x y in search order (the order of RULES), packed from
+    `_rewrites` once per pair a search meets.
     """
 
     def __init__(self, gens: tuple[BandGenerator, ...]) -> None:
@@ -106,9 +107,7 @@ class _PairTable(dict):
 
     def __missing__(self, pair: tuple[int, int]):
         x, y = self.gens[pair[0]], self.gens[pair[1]]
-        cls, word = classify_pair(x, y), BandWord(x.n, (x, y))
-        self[pair] = rewrites = tuple((_pack(apply_step(word, RelationStep(1, rule))), rule)
-                                      for rule in RULES if _RULE_SOURCE[rule] is cls)
+        self[pair] = rewrites = tuple((_pack(p), rule) for p, rule in _rewrites(x, y))
         return rewrites
 
 
@@ -120,7 +119,7 @@ def _letter_table(n: int):
 
 
 def _tree(w: BandWord) -> SearchTree:
-    return SearchTree(_pack(w), _letter_table(w.n)[1].__getitem__)
+    return SearchTree(_pack(w.letters), _letter_table(w.n)[1].__getitem__)
 
 
 def unpack(n: int, word: tuple[int, ...]) -> BandWord:
@@ -130,12 +129,7 @@ def unpack(n: int, word: tuple[int, ...]) -> BandWord:
 
 
 def neighbors(w: BandWord) -> tuple[tuple[BandWord, RelationStep], ...]:
-    """Every single-relation rewrite of w, with the step that produces it.
-
-    Each adjacent pair contributes the rewrites its class admits: a
-    chain pair can move to the other two forms of its relation, a
-    commuting pair swaps, an interleaved pair contributes nothing.
-    """
+    """Every single-relation rewrite of w (see `_rewrites`), with the step that produces it."""
     tree = _tree(w)
     return tuple(
         (unpack(w.n, word), RelationStep(*step)) for word, step in tree.expand(tree.root)
@@ -160,15 +154,10 @@ def closure_tree(w: BandWord, size_cap: int = 10**6) -> SearchTree:
 
     States are packed words (see `unpack`); each parent link holds the
     (position, rule) step to its state.  Rewrites preserve length, so the
-    closure is finite; `capped` reports whether the size cap cut it short.
+    closure is finite; the tree holds w under any cap, and `capped`
+    reports whether the cap cut the closure short.
     """
-    if size_cap < 1:
-        raise BandError("size_cap must be >= 1")
-    tree = _tree(w)
-    while tree.frontier:
-        for _ in tree.grow(size_cap):
-            pass
-    return tree
+    return _tree(w).close(size_cap)
 
 
 def equivalence_class(w: BandWord, size_cap: int = 10**6) -> ClosureResult:
@@ -205,7 +194,7 @@ def hurwitz_path_positive(w1: BandWord, w2: BandWord, size_cap: int = 10**6) -> 
         raise BandError(f"strand counts differ: {w1.n} vs {w2.n}")
     if len(w1) != len(w2):
         return PathResult("not_equal", None, 0, False)
-    target = _pack(w2)
+    target = _pack(w2.letters)
     tree = _tree(w1)
     found = tree.root == target
     while tree.frontier and not found:

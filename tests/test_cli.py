@@ -250,9 +250,9 @@ def test_usage_errors_are_malformed_input(capsys):
 
 
 def test_zero_caps_reach_the_search(capsys):
-    code, _, err = run(capsys, "rewrite-class", "3:2 2:1", "--size-cap", "0")
-    assert code == 3
-    assert "size_cap" in err
+    code, out, _ = run(capsys, "rewrite-class", "3:2 2:1", "--size-cap", "0")
+    assert code == 2
+    assert out.splitlines() == ["size=1 truncated=True", "3:2 2:1"]
     code, out, _ = run(capsys, "verify", "conjugated-split", "--depth-cap", "0")
     assert code == 2
     assert out.startswith("INCONCLUSIVE conjugated-split")

@@ -15,7 +15,6 @@ from braidkit.planar import (
     Vertex,
     band_subgraph_map,
     check_semiframe,
-    dart_edge_side,
     delete_edge,
     face_indices,
     map_from_json,
@@ -53,15 +52,6 @@ def wheel_with_enclosed_hub():
             "p4": ("f:0", "d:0", "e:0"),
         },
     )
-
-
-def test_dart_names():
-    assert dart_edge_side("4:2/1:0") == ("4:2/1", 0)
-    assert dart_edge_side("a:1") == ("a", 1)
-    with pytest.raises(MapError):
-        dart_edge_side("a:2")
-    with pytest.raises(MapError):
-        dart_edge_side(":0")
 
 
 def test_validate_accepts_triangle():
@@ -398,8 +388,8 @@ def assert_matches_point_geometry(n, gens):
     assert len(m.edges) == len(chords) + 2 * len(through)
 
     def far_end(d):
-        edge_id, side = dart_edge_side(d)
-        return ends[edge_id][1 - side]
+        edge_id, _, side = d.rpartition(":")
+        return ends[edge_id][1 - int(side)]
 
     at_vertex = {}
     for v, ring in m.rotations.items():

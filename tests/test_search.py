@@ -1,5 +1,6 @@
 """Contracts every breadth-first search shares: caps and replay checks."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -16,6 +17,7 @@ from braidkit.bands import (
     Factorization,
     PairClass,
     all_generators,
+    chain_forms,
     classify_pair,
     parse_band_word,
     standard_factorization,
@@ -26,6 +28,7 @@ from braidkit.rewriting import (
     RelationStep,
     _letter_table,
     apply_step,
+    closure_tree,
     equivalence_class,
     hurwitz_path_positive,
     step_to_move,
@@ -71,6 +74,51 @@ def exhaustive_find_path(cap):
 def test_a_cap_truncates_only_below_the_full_size(search, size):
     assert search(size) == (size, False)
     assert search(size - 1)[1]
+
+
+def orbit_held(f, cap):
+    rep = orbit_explore(f, size_cap=cap)
+    return rep.visited, rep.truncated
+
+
+def closure_held(word, cap):
+    res = equivalence_class(parse_band_word(word, 3), cap)
+    return len(res.words), res.truncated
+
+
+def relation_path_held(words, cap):
+    res = hurwitz_path_positive(*(parse_band_word(w, 3) for w in words), cap)
+    return res.visited, res.truncated
+
+
+def find_path_held(pair, cap):
+    res = find_path(*pair, size_cap=cap)
+    return res.visited, res.truncated
+
+
+# The cap rule: a search always holds its root(s), and a size cap turns
+# every later state away once that many are held.  Each search starts
+# once beside unvisited neighbors and once at a fixed point, which has
+# none: the half twist and its conjugate by sigma_1 square to the same
+# full twist, and a pair of equal factors is fixed by both moves.
+@pytest.mark.parametrize("cap", [-1, 0, 1])
+@pytest.mark.parametrize("search, moving, fixed, roots", [
+    (orbit_held, fact(3, "1", "2"), fact(2, "1", "1"), 1),
+    (closure_held, "3:2 2:1", "2:1 2:1", 1),
+    (relation_path_held, ("3:2 2:1", "2:1 2:1"), ("2:1 2:1", "3:1 3:1"), 1),
+    (find_path_held, (fact(3, "1 2", ""), fact(3, "1", "2")),
+     (fact(3, "1 2 1", "1 2 1"), fact(3, "1 1 2 1 -1", "1 1 2 1 -1")), 2),
+], ids=["orbit", "closure", "positive-path", "find-path"])
+def test_a_search_holds_its_roots_under_any_cap(search, moving, fixed, roots, cap):
+    assert search(moving, cap) == (roots, True)
+    assert search(fixed, cap) == (roots, False)
+
+
+def test_closure_layers_sum_to_the_closure_size():
+    word = parse_band_word("2:1 3:2 2:1 3:2 2:1 3:2", 3)
+    for cap, size in ((None, 87), (40, 40), (0, 1)):
+        tree = closure_tree(word) if cap is None else closure_tree(word, cap)
+        assert (sum(tree.layers), len(tree.parents), tree.layers[0]) == (size, size, 1)
 
 
 # Each search's replay is corrupted in turn; every one must raise
@@ -138,8 +186,6 @@ def reference_moves(f):
 
 
 def reference_orbit(f, depth_cap=None, size_cap=None):
-    if size_cap is not None and size_cap < 1:
-        return 0, (), True, ()
     seen = {tuple_key(f)}
     frontier, counts, truncated, depth = [f], [1], False, 0
     while frontier:
@@ -270,17 +316,36 @@ def reference_neighbors(w):
     return out
 
 
+def commute(x, y):
+    """Four distinct ends, on disjoint or nested chords: the chords do not cross."""
+    return len({x.t, x.s, y.t, y.s}) == 4 and (x.s > y.t or y.s > x.t
+                                                or x.t > y.t > y.s > x.s
+                                                or y.t > x.t > x.s > y.s)
+
+
 @pytest.mark.parametrize("n", range(3, 8))
 def test_the_packed_pair_table_agrees_with_classify_pair_and_apply_step(n):
     gens, pairs = _letter_table(n)
     assert gens == all_generators(n)
+    index = {g: i for i, g in enumerate(gens)}
+    want = {}
+    for t, s, r in itertools.combinations(range(n, 0, -1), 3):
+        forms = chain_forms(n, t, s, r)
+        for here, pair in forms.items():
+            want[index[pair[0]], index[pair[1]]] = [
+                ((index[forms[rule[-1]][0]], index[forms[rule[-1]][1]]), rule)
+                for rule in RULES if rule.startswith(here + "->")]
     for x in gens:
         for y in gens:
-            want = [((gens.index(nb.letters[0]), gens.index(nb.letters[1])), step.rule)
-                    for nb, step in reference_neighbors(BandWord(n, (x, y)))]
-            got = pairs[gens.index(x), gens.index(y)]
-            assert list(got) == want, (x, y)
+            if commute(x, y):
+                want[index[x], index[y]] = [((index[y], index[x]), "Comm")]
+    for x in gens:
+        for y in gens:
+            got = pairs[index[x], index[y]]
+            assert list(got) == want.get((index[x], index[y]), []), (x, y)
             assert (not got) == (classify_pair(x, y) is PairClass.INTERLEAVED)
+            assert list(got) == [((index[nb.letters[0]], index[nb.letters[1]]), step.rule)
+                                 for nb, step in reference_neighbors(BandWord(n, (x, y)))]
 
 
 def test_the_pair_table_fills_only_the_pairs_a_search_looks_up():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from braidkit import verify
+from braidkit import freegroup, verify
 from braidkit.bands import BandWord
 from braidkit.hurwitz import PathResult, ReplayError
 from braidkit.verify import run_suite, suite_conjugated_split, suite_embedding
@@ -87,3 +87,12 @@ def test_run_suite_passes_only_the_caps_given():
 def test_run_suite_rejects_an_unknown_name():
     with pytest.raises(ValueError):
         run_suite("no-such-suite")
+
+
+def test_action_axioms_fail_when_an_inverse_letter_acts_like_its_generator(monkeypatch):
+    real = freegroup._letter_images
+    monkeypatch.setattr(freegroup, "_letter_images", lambda index, sign: real(index, 1))
+    rep = run_suite("action-axioms", 3)
+    assert (rep["ok"], rep["checks"]) == (False, 842)
+    assert "action breaks cancellation at 1" in rep["failures"]
+    assert any(text.endswith("does not invert") for text in rep["failures"])
