@@ -23,10 +23,11 @@ rewrites of `rewriting`, grows a `SearchTree` whose states change one
 adjacent pair at a time through the caller's `pairs` table: one
 visited map with parent links and layer sizes, one closure walk, one
 cap rule (a tree always holds its root; a size cap turns every later
-state away once that many are held, and sets `capped` only when it
-turns an unvisited state away), and one parent walk for reading a path
-back.  Every path a search reports is replayed first on real
-factorizations, and a mismatch raises `ReplayError`.
+state away once that many are held, and the first state it turns away
+sets `capped` and stops the tree: a full tree stops growing), and one
+parent walk for reading a path back.  Every path a search reports is
+replayed first on real factorizations, and a mismatch raises
+`ReplayError`.
 
 Serialized moves are signed integers: k stands for R_k and -k for
 R_k^-1.
@@ -128,6 +129,8 @@ class SearchTree:
     (None, None) at the root, which is always held; `frontier` holds the
     newest layer, `layers` each non-empty layer's size from the root's 1,
     and `capped` records that a cap turned an unvisited neighbor away.
+    Once a size cap has turned a state away nothing more can join the
+    tree, so it stops growing: its frontier is emptied.
     """
 
     def __init__(self, root: tuple, pairs) -> None:
@@ -151,29 +154,39 @@ class SearchTree:
 
         Yields each newly admitted state, and None once every neighbor of
         a frontier state has been examined, so a caller can stop between
-        states.  The frontier and layers advance only when the whole layer
-        has been expanded.
+        states.  The frontier and layers advance only when the layer has
+        been expanded to its end, or to the first unvisited state the
+        size cap turns away: that state sets `capped`, the partial layer
+        is recorded, and the frontier is emptied, since a full tree
+        admits nothing more.
         """
         parents, expand = self.parents, self.expand
         limit = math.inf if size_cap is None else size_cap
-        nxt = []
+        nxt, full = [], False
         for at in self.frontier:
             for nb, step in expand(at):
                 if nb in parents:
                     continue
                 if len(parents) >= limit:
-                    self.capped = True
-                    continue
+                    full = True
+                    break
                 parents[nb] = (at, step)
                 nxt.append(nb)
                 yield nb
+            if full:
+                break
             yield None
-        self.frontier = nxt
+        self.capped = self.capped or full
+        self.frontier = [] if full else nxt
         if nxt:
             self.layers.append(len(nxt))
 
     def close(self, size_cap: int | None, depth_cap: int | None = None) -> SearchTree:
-        """Grow the tree until its frontier is empty or at depth_cap; returns it."""
+        """Grow the tree until it is full, its frontier is empty or it is at depth_cap.
+
+        Returns the tree.  A size cap stops it at the first state the cap
+        turns away (see `grow`).
+        """
         while self.frontier:
             if depth_cap is not None and len(self.layers) > depth_cap:
                 # The tree is capped only if the frontier has an unvisited neighbor.
@@ -202,8 +215,10 @@ class _FactorTable(dict):
     and the word kept for an id is the first freely reduced word met for
     it.  As a dict the table maps a pair of ids (a, b) to
     (((a b a^-1, a), 1), ((b, b^-1 a b), -1)), the pairs R_k and R_k^-1
-    leave; its `__getitem__` is the tree's `pairs`.  A missing entry is
-    filled by `apply_move` on the two words.
+    leave; its `__getitem__` is the tree's `pairs`.  Only the pairs a
+    search expands are filled, so a tree that stops at its cap fills no
+    entry past it.  A missing entry is filled by `apply_move` on the two
+    words.
     """
 
     def __init__(self, n: int) -> None:
@@ -302,9 +317,10 @@ def find_path(
     """Bidirectional breadth-first search for a move sequence f1 -> f2.
 
     Each round grows the tree with the smaller frontier by one layer;
-    the size cap bounds both trees together.  Found sequences are
-    verified by replay before being returned: the final tuple matches
-    f2 in per-factor keys, position by position.
+    the size cap bounds both trees together, so once either tree is
+    full neither can admit a state and the search stops.  Found
+    sequences are verified by replay before being returned: the final
+    tuple matches f2 in per-factor keys, position by position.
     """
     if f1.n != f2.n:
         raise MoveError(f"strand counts differ: {f1.n} vs {f2.n}")
@@ -335,7 +351,8 @@ def find_path(
             tree, other = bwd, fwd
         cap = None if size_cap is None else size_cap - len(other.parents)
         meet = None
-        # The state on which the trees meet is expanded to the end.
+        # The state on which the trees meet is expanded to the end, or
+        # until the cap fires.
         for state in tree.grow(cap):
             if state is None:
                 if meet is not None:

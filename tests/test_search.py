@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import braidkit
+from braidkit import hurwitz, rewriting
 from braidkit.bands import (
     BandError,
     BandGenerator,
@@ -19,10 +20,18 @@ from braidkit.bands import (
     all_generators,
     chain_forms,
     classify_pair,
+    conjugated_factorization,
     parse_band_word,
     standard_factorization,
 )
-from braidkit.hurwitz import Move, apply_move, find_path, orbit_explore, tuple_key
+from braidkit.hurwitz import (
+    Move,
+    SearchTree,
+    apply_move,
+    find_path,
+    orbit_explore,
+    tuple_key,
+)
 from braidkit.rewriting import (
     RULES,
     RelationStep,
@@ -443,3 +452,42 @@ def test_closures_and_relation_paths_match_references_over_band_words():
     statuses.add(res.status)
     assert closures == {True, False}
     assert statuses == {"found", "inconclusive", "not_equal"}
+
+
+# -- A full tree stops growing --------------------------------------------------
+
+
+@pytest.fixture
+def watched(monkeypatch):
+    """Every SearchTree the searches build, counting its pair lookups made
+    before ([0]) and after ([1]) any tree first turned a state away."""
+    trees = []
+
+    class Watched(SearchTree):
+        def __init__(self, root, pairs):
+            def counted(pair):
+                self.lookups[any(t.capped for t in trees)] += 1
+                return pairs(pair)
+
+            super().__init__(root, counted)
+            self.lookups = [0, 0]
+            trees.append(self)
+
+    monkeypatch.setattr(hurwitz, "SearchTree", Watched)
+    monkeypatch.setattr(rewriting, "SearchTree", Watched)
+    return trees
+
+
+@pytest.mark.parametrize("search", [
+    lambda: orbit_explore(standard_factorization(3), size_cap=30).truncated,
+    lambda: orbit_explore(fact(4, "1", "3", "2"), depth_cap=3, size_cap=15).truncated,
+    lambda: closure_tree(twist_word(3), 40).capped,
+    lambda: find_path(standard_factorization(3),
+                      conjugated_factorization(3, parse_word("1 1 2", 3)), size_cap=30).truncated,
+    lambda: hurwitz_path_positive(
+        twist_word(3), parse_band_word("2:1 3:2 2:1 3:2 2:1 3:1", 3), 20).truncated,
+], ids=["orbit", "orbit-depth", "closure", "find-path", "positive-path"])
+def test_no_pair_is_looked_up_once_a_cap_turns_a_state_away(watched, search):
+    assert search()
+    assert watched and sum(t.lookups[0] for t in watched) > 0
+    assert [t.lookups[1] for t in watched] == [0] * len(watched)
