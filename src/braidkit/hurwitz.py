@@ -13,21 +13,24 @@ Orbit and path search do not build a `Factorization` per state.  Each
 search interns the factors it meets as small ints keyed by canonical
 key, and a state is the tuple of its factors' ids, so two states are
 equal exactly when their tuple keys are.  One memoized move table maps
-a pair of ids to the pairs R_k and R_k^-1 leave, and `apply_move`
-fills an entry once per distinct pair of factors.  Emitted keys are
-joined back into `tuple_key` text and sorted, so output is
-reproducible run to run.
+a pair of ids to the pairs R_k and R_k^-1 leave.  An entry is filled
+once per distinct pair of factors, by `apply_move` in each direction,
+and only the one new factor of each result is interned, since the
+other already has its id.  `apply_move` builds the new factor as one
+free reduction of its letters.  Emitted keys are joined back into
+`tuple_key` text and sorted, so output is reproducible run to run.
 
 Every breadth-first search in the package, these two and the relation
 rewrites of `rewriting`, grows a `SearchTree` whose states change one
 adjacent pair at a time through the caller's `pairs` table: one
-visited map with parent links and layer sizes, one closure walk, one
-cap rule (a tree always holds its root; a size cap turns every later
-state away once that many are held, and the first state it turns away
-sets `capped` and stops the tree: a full tree stops growing), and one
-parent walk for reading a path back.  Every path a search reports is
-replayed first on real factorizations, and a mismatch raises
-`ReplayError`.
+visited map with parent links and layer sizes, one neighbour loop
+(`grow`, which also serves the depth-cap probe and
+`rewriting.neighbors`), one closure walk, one cap rule (a tree always
+holds its root; a size cap turns every later state away once that many
+are held, and the first state it turns away sets `capped` and stops
+the tree: a full tree stops growing), and one parent walk for reading
+a path back.  Every path a search reports is replayed first on real
+factorizations, and a mismatch raises `ReplayError`.
 
 Serialized moves are signed integers: k stands for R_k and -k for
 R_k^-1.
@@ -39,7 +42,8 @@ import math
 from dataclasses import dataclass
 
 from .bands import Factorization
-from .words import compose_all, conjugate, inverse
+from .normalform import canonical_key
+from .words import BraidWord, _reduce
 
 
 class MoveError(ValueError):
@@ -74,6 +78,16 @@ def move_from_int(v: int) -> Move:
     return Move(abs(v), 1 if v > 0 else -1)
 
 
+def _unchecked(cls, **fields):
+    """A frozen `cls(**fields)` built without its checks, for fields known to pass them."""
+    out = object.__new__(cls)
+    # Set each field rather than update __dict__: that would give every
+    # instance its own dict, and the kept words would hold more memory.
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out
+
+
 def apply_move(f: Factorization, m: Move) -> Factorization:
     if m.k > len(f) - 1:
         raise MoveError(
@@ -81,15 +95,15 @@ def apply_move(f: Factorization, m: Move) -> Factorization:
         )
     i = m.k - 1
     x, y = f.factors[i], f.factors[i + 1]
+    # Stored factors are valid and reduced, so the new factor is one free
+    # reduction of their letters and the words skip re-validating.
     if m.direction == 1:
-        pair = (compose_all(f.n, (x, y, inverse(x))), x)
+        inv = tuple((j, -s) for j, s in reversed(x.letters))
+        pair = (_unchecked(BraidWord, n=f.n, letters=_reduce(x.letters + y.letters + inv)), x)
     else:
-        pair = (y, conjugate(x, y))
-    # Stored factors are reduced and so is the new pair: skip re-reducing.
-    out = object.__new__(Factorization)
-    object.__setattr__(out, "n", f.n)
-    object.__setattr__(out, "factors", f.factors[:i] + pair + f.factors[i + 2 :])
-    return out
+        inv = tuple((j, -s) for j, s in reversed(y.letters))
+        pair = (y, _unchecked(BraidWord, n=f.n, letters=_reduce(inv + x.letters + y.letters)))
+    return _unchecked(Factorization, n=f.n, factors=f.factors[:i] + pair + f.factors[i + 2 :])
 
 
 def apply_sequence(f: Factorization, moves) -> Factorization:
@@ -122,13 +136,15 @@ def check_replay(got, want, what: str) -> None:
 class SearchTree:
     """A breadth-first search tree, the engine behind every search here.
 
-    States are tuples and are their own deduplication keys.  At each
-    position, left to right, `pairs(state[i:i+2])` lists the (replacement
-    pair, label) rewrites in search order; a step is (1-based position,
-    label).  `parents` maps each visited state to (parent, step), with
-    (None, None) at the root, which is always held; `frontier` holds the
-    newest layer, `layers` each non-empty layer's size from the root's 1,
-    and `capped` records that a cap turned an unvisited neighbor away.
+    States are tuples and are their own deduplication keys.  A state's
+    neighbours are its single pair rewrites: at each position, left to
+    right, `pairs(state[i:i+2])` lists the (replacement pair, label)
+    rewrites in search order, and `grow` is the one loop that walks
+    them.  A step is (1-based position, label).  `parents` maps each
+    visited state to (parent, step), with (None, None) at the root,
+    which is always held; `frontier` holds the newest layer, `layers`
+    each non-empty layer's size from the root's 1, and `capped` records
+    that a cap turned an unvisited neighbor away.
     Once a size cap has turned a state away nothing more can join the
     tree, so it stops growing: its frontier is emptied.
     """
@@ -141,43 +157,38 @@ class SearchTree:
         self.layers = [1]
         self.capped = False
 
-    def expand(self, state: tuple):
-        """Each single pair rewrite of state as (neighbor, step), in search order."""
-        pairs = self.pairs
-        for i in range(len(state) - 1):
-            head, tail = state[:i], state[i + 2 :]
-            for pair, label in pairs(state[i : i + 2]):
-                yield head + pair + tail, (i + 1, label)
-
     def grow(self, size_cap: int | None):
         """Expand the frontier by one layer, keeping the tree within size_cap.
 
-        Yields each newly admitted state, and None once every neighbor of
-        a frontier state has been examined, so a caller can stop between
-        states.  The frontier and layers advance only when the layer has
-        been expanded to its end, or to the first unvisited state the
-        size cap turns away: that state sets `capped`, the partial layer
-        is recorded, and the frontier is emptied, since a full tree
-        admits nothing more.
+        This is the tree's one neighbour loop.  It yields each newly
+        admitted state, and None once every neighbour of a frontier
+        state has been examined, so a caller can stop between states;
+        a step is built only for a state it admits.  The frontier and
+        layers advance only when the layer has been expanded to its end,
+        or to the first unvisited state the size cap turns away: that
+        state sets `capped`, the partial layer is recorded, and the
+        frontier is emptied, since a full tree admits nothing more.
         """
-        parents, expand = self.parents, self.expand
+        parents, pairs = self.parents, self.pairs
         limit = math.inf if size_cap is None else size_cap
-        nxt, full = [], False
+        nxt = []
         for at in self.frontier:
-            for nb, step in expand(at):
-                if nb in parents:
-                    continue
-                if len(parents) >= limit:
-                    full = True
-                    break
-                parents[nb] = (at, step)
-                nxt.append(nb)
-                yield nb
-            if full:
-                break
+            for i in range(len(at) - 1):
+                head, tail = at[:i], at[i + 2 :]
+                for pair, label in pairs(at[i : i + 2]):
+                    nb = head + pair + tail
+                    if nb in parents:
+                        continue
+                    if len(parents) >= limit:
+                        self.capped, self.frontier = True, []
+                        if nxt:
+                            self.layers.append(len(nxt))
+                        return
+                    parents[nb] = (at, (i + 1, label))
+                    nxt.append(nb)
+                    yield nb
             yield None
-        self.capped = self.capped or full
-        self.frontier = [] if full else nxt
+        self.frontier = nxt
         if nxt:
             self.layers.append(len(nxt))
 
@@ -185,13 +196,14 @@ class SearchTree:
         """Grow the tree until it is full, its frontier is empty or it is at depth_cap.
 
         Returns the tree.  A size cap stops it at the first state the cap
-        turns away (see `grow`).
+        turns away (see `grow`).  At depth_cap, one more `grow` with a cap
+        of the tree's own size admits nothing: it only sets `capped`, at
+        the first unvisited neighbour of the frontier, if there is one.
         """
         while self.frontier:
             if depth_cap is not None and len(self.layers) > depth_cap:
-                # The tree is capped only if the frontier has an unvisited neighbor.
-                self.capped = self.capped or any(
-                    nb not in self.parents for at in self.frontier for nb, _ in self.expand(at))
+                for _ in self.grow(len(self.parents)):
+                    pass
                 break
             for _ in self.grow(size_cap):
                 pass
@@ -218,7 +230,9 @@ class _FactorTable(dict):
     leave; its `__getitem__` is the tree's `pairs`.  Only the pairs a
     search expands are filled, so a tree that stops at its cap fills no
     entry past it.  A missing entry is filled by `apply_move` on the two
-    words.
+    kept words, once per direction, and only the new factor of each
+    result is interned: a and b already have their ids, so a fill looks
+    up two canonical keys.
     """
 
     def __init__(self, n: int) -> None:
@@ -227,21 +241,23 @@ class _FactorTable(dict):
         self.ids: dict[str, int] = {}
         self.words: list = []
 
+    def _intern(self, key: str, word) -> int:
+        fid = self.ids.setdefault(key, len(self.ids))
+        if fid == len(self.words):
+            self.words.append(word)
+        return fid
+
     def state(self, f: Factorization) -> tuple[int, ...]:
         """The ids of f's factors, interning any factor not met before."""
-        ids, words = self.ids, self.words
-        out = []
-        for word, key in zip(f.factors, f.factor_keys):
-            fid = ids.setdefault(key, len(ids))
-            if fid == len(words):
-                words.append(word)
-            out.append(fid)
-        return tuple(out)
+        return tuple(map(self._intern, f.factor_keys, f.factors))
 
     def __missing__(self, pair: tuple[int, int]):
         a, b = pair
-        f = Factorization(self.n, (self.words[a], self.words[b]))
-        moved = tuple((self.state(apply_move(f, Move(1, d))), d) for d in (1, -1))
+        f = _unchecked(Factorization, n=self.n, factors=(self.words[a], self.words[b]))
+        left = apply_move(f, Move(1, 1)).factors[0]
+        right = apply_move(f, Move(1, -1)).factors[1]
+        moved = (((self._intern(canonical_key(left), left), a), 1),
+                 ((b, self._intern(canonical_key(right), right)), -1))
         self[pair] = moved
         return moved
 
@@ -277,7 +293,7 @@ def orbit_explore(
     tree = SearchTree(table.state(f), table.__getitem__).close(size_cap, depth_cap)
     # Ids were handed out in insertion order, so they index the key list.
     factor_keys = list(table.ids)
-    keys = sorted(";".join(factor_keys[i] for i in state) for state in tree.parents)
+    keys = sorted(";".join(map(factor_keys.__getitem__, state)) for state in tree.parents)
     return OrbitReport(len(tree.parents), tuple(tree.layers), tree.capped, tuple(keys))
 
 

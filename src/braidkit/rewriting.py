@@ -10,7 +10,9 @@ letter a_{t,s} is its index in `all_generators`, which keeps the (t, s)
 order, so sorting packed words sorts the words.  `_rewrites` alone says
 which rewrites apply to an ordered pair of letters: `apply_step` reads
 it, and a per-n dict packs its answer per pair on first lookup; that
-dict's `__getitem__` is the tree's `pairs`, which `neighbors` expands.
+dict's `__getitem__` is the tree's `pairs`.  `neighbors` reads one
+unbounded `grow` of a fresh tree, the same neighbour loop every search
+runs.
 `BandWord`s are built only for results, and a found path's steps only
 to compile them: `hurwitz_path_positive` replays the moves and returns
 the `PathResult` of `hurwitz`.
@@ -130,9 +132,12 @@ def unpack(n: int, word: tuple[int, ...]) -> BandWord:
 
 def neighbors(w: BandWord) -> tuple[tuple[BandWord, RelationStep], ...]:
     """Every single-relation rewrite of w (see `_rewrites`), with the step that produces it."""
+    # No two rewrites of w give the same word and none gives w itself,
+    # so one unbounded layer of the tree holds every rewrite.
     tree = _tree(w)
     return tuple(
-        (unpack(w.n, word), RelationStep(*step)) for word, step in tree.expand(tree.root)
+        (unpack(w.n, word), RelationStep(*tree.parents[word][1]))
+        for word in tree.grow(None) if word is not None
     )
 
 

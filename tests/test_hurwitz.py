@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from braidkit.bands import (
     Factorization,
@@ -21,7 +23,14 @@ from braidkit.hurwitz import (
     orbit_explore,
     tuple_key,
 )
-from braidkit.words import BraidWord, format_word, parse_word
+from braidkit.words import (
+    BraidWord,
+    compose_all,
+    conjugate,
+    format_word,
+    inverse,
+    parse_word,
+)
 
 
 def fact(n, *words):
@@ -66,6 +75,45 @@ def test_apply_move_passes_untouched_factors_through():
         i = m.k - 1
         kept = f.factors[:i] + f.factors[i + 2 :]
         assert all(a is b for a, b in zip(out.factors[:i] + out.factors[i + 2 :], kept))
+
+
+@st.composite
+def factorizations_and_positions(draw):
+    """Two to four freely reduced factors on 3-6 strands, and a move position.
+
+    Each factor is drawn around a shared word s or its inverse, so the
+    junctions of x y x^-1 and y^-1 x y often cancel.
+    """
+    n = draw(st.integers(3, 6))
+    letter = st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1)))
+    shared = BraidWord(n, tuple(draw(st.lists(letter, max_size=4))))
+    ends = st.sampled_from((BraidWord(n), shared, inverse(shared)))
+    factors = []
+    for _ in range(draw(st.integers(2, 4))):
+        own = BraidWord(n, tuple(draw(st.lists(letter, max_size=5))))
+        factors.append(compose_all(n, (draw(ends), own, draw(ends))))
+    f = Factorization(n, tuple(factors))
+    return f, draw(st.integers(1, len(f) - 1))
+
+
+def freely_reduced(w):
+    return all(not (a == c and b == -d) for (a, b), (c, d) in zip(w.letters, w.letters[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(factorizations_and_positions())
+@example((fact(3, "1 2", "-2 -1 2"), 1))
+@example((fact(4, "2", "-3 1", "-1 3 2"), 2))
+def test_apply_move_agrees_with_word_arithmetic(case):
+    f, k = case
+    x, y = f.factors[k - 1], f.factors[k]
+    for direction, pair in ((1, (compose_all(f.n, (x, y, inverse(x))), x)),
+                            (-1, (y, conjugate(x, y)))):
+        out = apply_move(f, Move(k, direction))
+        want = f.factors[: k - 1] + pair + f.factors[k + 1 :]
+        assert [w.letters for w in out.factors] == [w.letters for w in want]
+        assert out.n == f.n and all(w.n == f.n for w in out.factors)
+        assert all(freely_reduced(w) for w in out.factors)
 
 
 def test_move_then_inverse_is_identity():

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import braidkit
-from braidkit import hurwitz, rewriting
+from braidkit import hurwitz, normalform, rewriting
 from braidkit.bands import (
     BandError,
     BandGenerator,
@@ -40,9 +40,10 @@ from braidkit.rewriting import (
     closure_tree,
     equivalence_class,
     hurwitz_path_positive,
+    neighbors,
     step_to_move,
 )
-from braidkit.words import parse_word
+from braidkit.words import compose_all, conjugate, inverse, parse_word
 
 
 def fact(n, *words):
@@ -312,6 +313,59 @@ def test_find_path_matches_a_reference_search_over_apply_move():
                         ("not_comparable", False)}
 
 
+@pytest.fixture
+def tables(monkeypatch):
+    """Every move table the searches build, each recording its fills in
+    order as (pair, canonical keys looked up during the fill)."""
+    real, lookups, made = normalform.canonical_key, [0], []
+
+    def counted(w):
+        lookups[0] += 1
+        return real(w)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("braidkit") and getattr(module, "canonical_key", None) is real:
+            monkeypatch.setattr(module, "canonical_key", counted)
+
+    class Recorded(hurwitz._FactorTable):
+        def __init__(self, n):
+            super().__init__(n)
+            self.fills = []
+            made.append(self)
+
+        def __missing__(self, pair):
+            before = lookups[0]
+            moved = super().__missing__(pair)
+            self.fills.append((pair, lookups[0] - before))
+            return moved
+
+    monkeypatch.setattr(hurwitz, "_FactorTable", Recorded)
+    return made
+
+
+@pytest.mark.parametrize("n, steps, size_cap", [(3, 3, 300), (4, 2, 300), (5, 1, 200)])
+def test_a_table_fill_interns_only_the_new_factor(tables, n, steps, size_cap):
+    f = walk(standard_factorization(n), random.Random(n), steps)
+    orbit_explore(f, size_cap=size_cap)
+    (table,) = tables
+    assert table.fills and [looked for _, looked in table.fills] == [2] * len(table.fills)
+    # Words in the order the search met them: the root's factors, then
+    # each fill's a b a^-1 and b^-1 a b.  An id keeps the first one met.
+    met = list(f.factors)
+    for (a, b), _ in table.fills:
+        x, y = table.words[a], table.words[b]
+        met += [compose_all(n, (x, y, inverse(x))), conjugate(x, y)]
+    first = {}
+    for w in met:
+        first.setdefault(normalform.canonical_key(w), w)
+    assert list(table.ids) == list(first) and table.words == list(first.values())
+    for (a, b), moved in table.items():
+        x, y = table.words[a], table.words[b]
+        new_left = table.ids[normalform.canonical_key(compose_all(n, (x, y, inverse(x))))]
+        new_right = table.ids[normalform.canonical_key(conjugate(x, y))]
+        assert moved == (((new_left, a), 1), ((b, new_right), -1))
+
+
 def reference_neighbors(w):
     """Every rewrite `apply_step` accepts, position by position, in RULES order."""
     out = []
@@ -355,6 +409,20 @@ def test_the_packed_pair_table_agrees_with_classify_pair_and_apply_step(n):
             assert (not got) == (classify_pair(x, y) is PairClass.INTERLEAVED)
             assert list(got) == [((index[nb.letters[0]], index[nb.letters[1]]), step.rule)
                                  for nb, step in reference_neighbors(BandWord(n, (x, y)))]
+
+
+def test_neighbors_match_the_reference_on_whole_words():
+    rng = random.Random(3000)
+    rewritten = 0
+    for n in range(3, 8):
+        gens = all_generators(n)
+        for length in range(10):
+            for _ in range(20):
+                w = BandWord(n, tuple(rng.choice(gens) for _ in range(length)))
+                got = neighbors(w)
+                assert list(got) == reference_neighbors(w), w
+                rewritten += len({step.position for _, step in got}) > 1
+    assert rewritten > 0
 
 
 def test_the_pair_table_fills_only_the_pairs_a_search_looks_up():
