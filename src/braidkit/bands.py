@@ -26,17 +26,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .normalform import canonical_key, equal
-from .perms import is_transposition
 from .words import (
     BraidWord,
     _check_strands,
     compose,
     compose_all,
     conjugate,
-    exponent_sum,
     free_reduce,
     generator,
-    underlying_permutation,
 )
 
 
@@ -297,12 +294,3 @@ def is_central(w: BraidWord) -> bool:
         equal(compose(w, g), compose(g, w))
         for g in (generator(w.n, i) for i in range(1, w.n))
     )
-
-
-def is_half_twist_shape(w: BraidWord) -> bool:
-    """Necessary half-twist invariants: exponent sum 1, transposition image.
-
-    These do not suffice to recognize a half twist, but every conjugate
-    of a generator passes and products of two or more generators fail.
-    """
-    return exponent_sum(w) == 1 and is_transposition(underlying_permutation(w))

@@ -160,12 +160,13 @@ def cmd_hurwitz_apply(args) -> Outcome:
 def cmd_hurwitz_path(args) -> Outcome:
     f1 = _factorization_from_json(_load_json_arg(args.source))
     f2 = _factorization_from_json(_load_json_arg(args.target))
-    return _search_exit(find_path(f1, f2, args.depth_cap, args.size_cap))
+    caps = _given(depth_cap=args.depth_cap, size_cap=args.size_cap)
+    return _search_exit(find_path(f1, f2, **caps))
 
 
 def cmd_orbit(args) -> Outcome:
     f = _factorization_from_json(_load_json_arg(args.factorization))
-    rep = orbit_explore(f, args.depth_cap, args.size_cap)
+    rep = orbit_explore(f, **_given(depth_cap=args.depth_cap, size_cap=args.size_cap))
     payload = rep.as_dict()
     payload["depthCap"] = args.depth_cap
     payload["sizeCap"] = args.size_cap
@@ -243,9 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, strands=True):
+    def common(p, strands=True, caps=()):
         if strands:
             p.add_argument("--strands", type=int, default=3, help="strand count (default 3)")
+        for cap in caps:
+            p.add_argument(f"--{cap}-cap", type=int, default=None)
         p.add_argument("--format", choices=("json", "text"), default="text")
 
     p = sub.add_parser("nf", help="Garside normal form of an Artin word")
@@ -277,27 +280,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hurwitz-path", help="search for a move sequence between factorizations")
     p.add_argument("source", help="JSON {strands, factors}; file, '-', or literal")
     p.add_argument("target", help="JSON {strands, factors}; file, '-', or literal")
-    p.add_argument("--depth-cap", type=int, default=None)
-    p.add_argument("--size-cap", type=int, default=None)
-    common(p, strands=False)
+    common(p, strands=False, caps=("depth", "size"))
 
     p = sub.add_parser("orbit", help="breadth-first Hurwitz orbit of a factorization")
     p.add_argument("factorization", help="JSON {strands, factors}; file, '-', or literal")
-    p.add_argument("--depth-cap", type=int, default=None)
-    p.add_argument("--size-cap", type=int, default=None)
     p.add_argument("--keys", action="store_true", help="include visited keys in the payload")
-    common(p, strands=False)
+    common(p, strands=False, caps=("depth", "size"))
 
     p = sub.add_parser("rewrite-class", help="relation-rewrite closure of a positive band word")
     p.add_argument("word")
-    p.add_argument("--size-cap", type=int, default=None)
-    common(p)
+    common(p, caps=("size",))
 
     p = sub.add_parser("positive-path", help="compile a relation path into Hurwitz moves")
     p.add_argument("word1")
     p.add_argument("word2")
-    p.add_argument("--size-cap", type=int, default=None)
-    common(p)
+    common(p, caps=("size",))
 
     p = sub.add_parser("semiframe", help="check the semi-frame face condition of a map")
     p.add_argument("map", help="map JSON; file, '-', or literal")
@@ -307,9 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suites", nargs="*", metavar="suite",
                    help=f"any of: {', '.join(SUITE_NAMES)} (default: all)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--depth-cap", type=int, default=None)
-    p.add_argument("--size-cap", type=int, default=None)
-    common(p)
+    common(p, caps=("depth", "size"))
 
     return parser
 

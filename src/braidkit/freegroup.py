@@ -21,11 +21,8 @@ from __future__ import annotations
 from .words import BraidWord, WordError, _reduce
 
 # A free word is a freely reduced tuple of (generator index 1..n, sign).
+# Free letters have the shape of Artin letters, so `_reduce` serves both.
 FreeWord = tuple[tuple[int, int], ...]
-
-# Free letters have the shape of Artin letters, (index, sign), so the
-# free reduction of braid words serves free words unchanged.
-free_word_reduce = _reduce
 
 
 def free_word_inverse(w: FreeWord) -> FreeWord:

@@ -32,6 +32,11 @@ the tree: a full tree stops growing), and one parent walk for reading
 a path back.  Every path a search reports is replayed first on real
 factorizations, and a mismatch raises `ReplayError`.
 
+Orbits of full-twist factorizations are infinite from 3 strands on, so
+orbit and path search hold at most `DEFAULT_SIZE_CAP` (50,000) states
+unless the caller gives a size cap; at 3 strands that many take about
+5 s and 90 MB.
+
 Serialized moves are signed integers: k stands for R_k and -k for
 R_k^-1.
 """
@@ -44,6 +49,9 @@ from dataclasses import dataclass
 from .bands import Factorization
 from .normalform import canonical_key
 from .words import BraidWord, _reduce
+
+
+DEFAULT_SIZE_CAP = 50_000
 
 
 class MoveError(ValueError):
@@ -281,7 +289,7 @@ class OrbitReport:
 def orbit_explore(
     f: Factorization,
     depth_cap: int | None = None,
-    size_cap: int | None = None,
+    size_cap: int | None = DEFAULT_SIZE_CAP,
 ) -> OrbitReport:
     """Breadth-first closure of a factorization under all moves.
 
@@ -328,7 +336,7 @@ def find_path(
     f1: Factorization,
     f2: Factorization,
     depth_cap: int | None = None,
-    size_cap: int | None = None,
+    size_cap: int | None = DEFAULT_SIZE_CAP,
 ) -> PathResult:
     """Bidirectional breadth-first search for a move sequence f1 -> f2.
 

@@ -53,9 +53,3 @@ def swap_positions(p: Perm, i: int) -> Perm:
     q = list(p)
     q[i], q[i + 1] = q[i + 1], q[i]
     return tuple(q)
-
-
-def is_transposition(p: Perm) -> bool:
-    moved = [i for i in range(len(p)) if p[i] != i]
-    return len(moved) == 2 and p[moved[0]] == moved[1] and p[moved[1]] == moved[0]
-

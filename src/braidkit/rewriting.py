@@ -10,9 +10,10 @@ letter a_{t,s} is its index in `all_generators`, which keeps the (t, s)
 order, so sorting packed words sorts the words.  `_rewrites` alone says
 which rewrites apply to an ordered pair of letters: `apply_step` reads
 it, and a per-n dict packs its answer per pair on first lookup; that
-dict's `__getitem__` is the tree's `pairs`.  `neighbors` reads one
-unbounded `grow` of a fresh tree, the same neighbour loop every search
-runs.
+dict's `__getitem__` is the tree's `pairs`.  The per-n tables hold only
+the letters and pairs a search meets, so a search on many strands builds
+no table of all C(n,2) letters.  `neighbors` reads one unbounded `grow`
+of a fresh tree, the same neighbour loop every search runs.
 `BandWord`s are built only for results, and a found path's steps only
 to compile them: `hurwitz_path_positive` replays the moves and returns
 the `PathResult` of `hurwitz`.
@@ -31,13 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 from .bands import (
     BandError,
     BandGenerator,
     BandWord,
     PairClass,
-    all_generators,
     band_factorization,
     chain_forms,
     chain_triple,
@@ -74,7 +75,7 @@ def _rewrites(x: BandGenerator, y: BandGenerator) -> tuple:
     if cls is PairClass.INTERLEAVED:
         return ()
     forms = chain_forms(x.n, *chain_triple(x, y))
-    here = next(form for form, pair in forms.items() if pair == (x, y))
+    here = cls.value[-1]  # ChainA, ChainB or ChainC
     return tuple((forms[rule[-1]], rule) for rule in RULES if rule.startswith(here + "->"))
 
 
@@ -95,6 +96,19 @@ def _pack(letters: tuple[BandGenerator, ...]) -> tuple[int, ...]:
     return tuple((a.t - 1) * (a.t - 2) // 2 + a.s - 1 for a in letters)
 
 
+class _Letters(dict):
+    """The band generator of each packed letter on n strands, built on first lookup."""
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, k: int) -> BandGenerator:
+        t = (isqrt(8 * k + 1) + 1) // 2 + 1  # inverts `_pack`
+        self[k] = a = BandGenerator(self.n, t, k - (t - 1) * (t - 2) // 2 + 1)
+        return a
+
+
 class _PairTable(dict):
     """The rewrites of each ordered pair of packed letters, filled on first lookup.
 
@@ -103,7 +117,7 @@ class _PairTable(dict):
     `_rewrites` once per pair a search meets.
     """
 
-    def __init__(self, gens: tuple[BandGenerator, ...]) -> None:
+    def __init__(self, gens: _Letters) -> None:
         super().__init__()
         self.gens = gens
 
@@ -115,8 +129,8 @@ class _PairTable(dict):
 
 @lru_cache(maxsize=None)
 def _letter_table(n: int):
-    """The generators on n strands and their `_PairTable`."""
-    gens = all_generators(n)
+    """The packed letters on n strands and their `_PairTable`, both filled on first lookup."""
+    gens = _Letters(n)
     return gens, _PairTable(gens)
 
 

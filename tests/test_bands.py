@@ -16,12 +16,19 @@ from braidkit.bands import (
     expand,
     expand_word,
     is_central,
-    is_half_twist_shape,
     parse_band_word,
     standard_factorization,
 )
 from braidkit.normalform import canonical_key, equal
-from braidkit.words import BraidWord, WordError, exponent_sum, format_word, generator, parse_word
+from braidkit.words import (
+    BraidWord,
+    WordError,
+    exponent_sum,
+    format_word,
+    generator,
+    parse_word,
+    underlying_permutation,
+)
 
 
 def g(n, t, s):
@@ -207,19 +214,13 @@ def test_conjugated_product_is_central_for_longer_conjugators():
     assert f.product_key == canonical_key(delta_squared_word(3))
 
 
-def test_half_twist_shape():
-    for n in (3, 4):
-        for a in all_generators(n):
-            assert is_half_twist_shape(expand(a))
-    assert not is_half_twist_shape(parse_word("1 1", 3))
-    assert not is_half_twist_shape(parse_word("1 2", 3))
-    assert not is_half_twist_shape(BraidWord(3))
-
-
 def test_factorization_factors_are_half_twists():
     for f in (
         standard_factorization(4),
         conjugated_factorization(4, parse_word("2 -3", 4)),
     ):
         for w in f.factors:
-            assert is_half_twist_shape(w)
+            # Necessary, not sufficient: exponent sum 1, and a permutation
+            # that moves exactly two points, so swaps them.
+            assert exponent_sum(w) == 1
+            assert sum(v != i for i, v in enumerate(underlying_permutation(w))) == 2

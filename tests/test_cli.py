@@ -1,8 +1,10 @@
+import inspect
 import io
 import json
 
 import pytest
 
+from braidkit import cli, hurwitz
 from braidkit.cli import main
 from braidkit.planar import map_to_json
 from braidkit.verify import SUITE_NAMES
@@ -256,6 +258,31 @@ def test_zero_caps_reach_the_search(capsys):
     code, out, _ = run(capsys, "verify", "conjugated-split", "--depth-cap", "0")
     assert code == 2
     assert out.startswith("INCONCLUSIVE conjugated-split")
+
+
+def test_an_omitted_cap_takes_the_search_default(capsys, monkeypatch):
+    for search in (hurwitz.orbit_explore, hurwitz.find_path):
+        caps = inspect.signature(search).parameters
+        assert caps["size_cap"].default == hurwitz.DEFAULT_SIZE_CAP == 50_000
+        assert caps["depth_cap"].default is None
+    seen = []
+
+    def spy(search):
+        def spied(*args, **caps):
+            seen.append(caps)
+            return search(*args, **caps)
+        return spied
+
+    monkeypatch.setattr(cli, "orbit_explore", spy(cli.orbit_explore))
+    monkeypatch.setattr(cli, "find_path", spy(cli.find_path))
+    assert run(capsys, "orbit", FACT)[0] == 0
+    assert run(capsys, "hurwitz-path", FACT, FACT_MOVED)[0] == 0
+    assert seen == [{}, {}]
+    seen.clear()
+    zero = ("--size-cap", "0", "--depth-cap", "0")
+    assert run(capsys, "orbit", *zero, FACT)[0] == 2
+    assert run(capsys, "hurwitz-path", *zero, FACT, FACT_MOVED)[0] == 2
+    assert seen == [{"depth_cap": 0, "size_cap": 0}] * 2
 
 
 def test_bad_word_is_an_input_error(capsys):

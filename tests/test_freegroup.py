@@ -3,16 +3,10 @@
 from braidkit.freegroup import (
     action_key,
     free_word_inverse,
-    free_word_reduce,
     generator_images,
     words_act_equally,
 )
 from braidkit.words import BraidWord, parse_word
-
-
-def test_free_word_reduce():
-    assert free_word_reduce(((1, 1), (1, -1))) == ()
-    assert free_word_reduce(((1, 1), (2, 1), (2, -1), (1, 1))) == ((1, 1), (1, 1))
 
 
 def test_free_word_inverse():

@@ -43,11 +43,3 @@ def test_descents():
 def test_swap_positions_prepends_a_letter(i):
     for p in itertools.permutations(range(4)):
         assert perms.swap_positions(p, i) == perms.compose(perms.transposition(4, i), p)
-
-
-def test_is_transposition():
-    assert perms.is_transposition((0, 3, 2, 1))
-    assert perms.is_transposition(perms.transposition(5, 3))
-    assert not perms.is_transposition(perms.identity(3))
-    assert not perms.is_transposition((1, 2, 0))
-

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import braidkit
-from braidkit import hurwitz, normalform, rewriting
+from braidkit import cli, hurwitz, normalform, rewriting
 from braidkit.bands import (
     BandError,
     BandGenerator,
@@ -388,8 +388,7 @@ def commute(x, y):
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_the_packed_pair_table_agrees_with_classify_pair_and_apply_step(n):
-    gens, pairs = _letter_table(n)
-    assert gens == all_generators(n)
+    gens, pairs = all_generators(n), _letter_table(n)[1]
     index = {g: i for i, g in enumerate(gens)}
     want = {}
     for t, s, r in itertools.combinations(range(n, 0, -1), 3):
@@ -425,12 +424,23 @@ def test_neighbors_match_the_reference_on_whole_words():
     assert rewritten > 0
 
 
-def test_the_pair_table_fills_only_the_pairs_a_search_looks_up():
+def test_packed_letters_unpack_to_all_generators_index_by_index():
+    for n in range(2, 13):
+        letters, gens = _letter_table.__wrapped__(n)[0], all_generators(n)
+        assert [letters[k] for k in range(len(gens))] == list(gens)
+        assert rewriting._pack(gens) == tuple(range(len(gens)))
+
+
+def test_the_pair_table_fills_only_the_pairs_a_search_looks_up(capsys):
     _letter_table.cache_clear()
     assert len(equivalence_class(parse_band_word("2:1", 40)).words) == 1
     assert len(_letter_table(40)[1]) == 0
     assert len(equivalence_class(parse_band_word("3:2 2:1", 40)).words) == 3
     assert len(_letter_table(40)[1]) == 3
+    # On many strands the tables hold only what the search meets, not C(n,2) letters.
+    assert cli.main(["rewrite-class", "--strands", "1500", "2:1"]) == 0
+    assert capsys.readouterr().out == "size=1 truncated=False\n2:1\n"
+    assert len(_letter_table(1500)[0]) == 1 and len(_letter_table(1500)[1]) == 0
 
 
 def letters(w):
