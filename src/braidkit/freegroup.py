@@ -1,85 +1,78 @@
-"""Free-group action of braid words: the first equality oracle.
+"""Dynnikov coordinates of braid words: the second equality oracle.
 
-Braids on n strands act on the free group F_n = <x_1, ..., x_n>.  The
-generator sigma_i is sent to the automorphism
+The module keeps the name of the free-group action it used to compute,
+because callers and the benchmark import it by that name.  That action's
+images grow exponentially with the word; the tests keep it as a
+reference for short words.
 
-    x_i     |-> x_i x_{i+1} x_i^-1
-    x_{i+1} |-> x_i
-    x_j     |-> x_j            otherwise,
+B_n acts on Z^2n by piecewise-linear maps (Dynnikov, Russian Math.
+Surveys 57, 2002; Dehornoy, Dynnikov, Rolfsen and Wiest, *Ordering
+Braids*, 2008, ch. XII).  A vector (a_1, b_1, ..., a_n, b_n) codes an
+integral lamination of a disk in which the n strands sit between two
+further punctures, and sigma_i^+-1 changes only the four entries
+(x1, y1, x2, y2) = (a_i, b_i, a_{i+1}, b_{i+1}).  Writing x+ = max(x, 0)
+and x- = min(x, 0):
 
-and sigma_i^-1 to its inverse substitution.  A word acts left-to-right:
-the image of a free generator under u v is its image under u with every
-letter then substituted through v.  This action is faithful, so two words
-are equal as braids exactly when all n generator images agree; that is
-what `words_act_equally` decides.  It shares nothing with the Garside
-normal form in `normalform`, which keeps the two equality routes
-independent.
+    sigma_i:     z = x1 - y1- - x2 + y2+
+                 (x1 + y1+ + (y2+ - z)+,  y2 - z+,
+                  x2 + y2- + (y1- + z)-,  y1 + z+)
+    sigma_i^-1:  z = x1 + y1- - x2 - y2+
+                 (x1 - y1+ - (y2+ + z)+,  y2 + z-,
+                  x2 - y2- - (y1- - z)-,  y1 - z-)
+
+The letters of a word act in order, first letter first.  The trivial lamination
+(0, 1, 0, 1, ..., 0, 1) has trivial stabiliser, so two words are equal
+as braids exactly when they send it to the same vector; the extra
+punctures are what keep the full twist Delta^2 from acting trivially.
+Each letter costs O(1) operations on integers of O(length) bits.  The
+route shares nothing with the Garside normal form in `normalform`,
+which keeps the two equality routes independent.
 """
 
 from __future__ import annotations
 
-from .words import BraidWord, WordError, _reduce
-
-# A free word is a freely reduced tuple of (generator index 1..n, sign).
-# Free letters have the shape of Artin letters, so `_reduce` serves both.
-FreeWord = tuple[tuple[int, int], ...]
+from .words import BraidWord, WordError
 
 
-def free_word_inverse(w: FreeWord) -> FreeWord:
-    return tuple((g, -s) for g, s in reversed(w))
+# The two updates of the module docstring.  Conditional expressions stand
+# in for max and min, whose calls made a letter about twice as slow.
+def _sigma(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int, int]:
+    y1p, y1m = (y1, 0) if y1 > 0 else (0, y1)
+    y2p, y2m = (y2, 0) if y2 > 0 else (0, y2)
+    z = x1 - y1m - x2 + y2p
+    zp = z if z > 0 else 0
+    u, v = y2p - z, y1m + z
+    return (x1 + y1p + (u if u > 0 else 0), y2 - zp,
+            x2 + y2m + (v if v < 0 else 0), y1 + zp)
 
 
-def _letter_images(index: int, sign: int) -> dict[tuple[int, int], FreeWord]:
-    """Images of the moved free letters, both signs, under one Artin letter.
-
-    Each image is built once per Artin letter and shared by every
-    occurrence it replaces.
-    """
-    i = index
-    if sign == 1:
-        moved = {i: ((i, 1), (i + 1, 1), (i, -1)), i + 1: ((i, 1),)}
-    else:
-        moved = {i: ((i + 1, 1),), i + 1: ((i + 1, -1), (i, 1), (i + 1, 1))}
-    images: dict[tuple[int, int], FreeWord] = {}
-    for g, image in moved.items():
-        images[(g, 1)] = image
-        images[(g, -1)] = free_word_inverse(image)
-    return images
+def _sigma_inverse(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int, int]:
+    y1p, y1m = (y1, 0) if y1 > 0 else (0, y1)
+    y2p, y2m = (y2, 0) if y2 > 0 else (0, y2)
+    z = x1 + y1m - x2 - y2p
+    zm = z if z < 0 else 0
+    u, v = y2p + z, y1m - z
+    return (x1 - y1p - (u if u > 0 else 0), y2 + zm,
+            x2 - y2m - (v if v < 0 else 0), y1 - zm)
 
 
-def _substitute(word: FreeWord, images: dict[tuple[int, int], FreeWord]) -> FreeWord:
-    out: list[tuple[int, int]] = []
-    for letter in word:
-        image = images.get(letter)
-        if image is None:
-            out.append(letter)
-        else:
-            out.extend(image)
-    return _reduce(out)
-
-
-def generator_images(w: BraidWord) -> tuple[FreeWord, ...]:
-    """Images of x_1..x_n under the automorphism induced by w.
-
-    Each image is freely reduced, so the returned tuple is a canonical
-    description of the automorphism.
-    """
-    images: list[FreeWord] = [((g, 1),) for g in range(1, w.n + 1)]
+def dynnikov_coordinates(w: BraidWord) -> tuple[int, ...]:
+    """The image of the trivial lamination under w, as 2n integers."""
+    c = [0, 1] * w.n
     for index, sign in w.letters:
-        step = _letter_images(index, sign)
-        images = [_substitute(img, step) for img in images]
-    return tuple(images)
+        j = 2 * index - 2
+        x1, y1, x2, y2 = c[j:j + 4]
+        c[j:j + 4] = (_sigma if sign > 0 else _sigma_inverse)(x1, y1, x2, y2)
+    return tuple(c)
 
 
 def words_act_equally(u: BraidWord, v: BraidWord) -> bool:
-    """True iff u and v induce the same free-group automorphism."""
+    """True iff u and v send the trivial lamination to the same vector."""
     if u.n != v.n:
         raise WordError(f"strand counts differ: {u.n} vs {v.n}")
-    return generator_images(u) == generator_images(v)
+    return dynnikov_coordinates(u) == dynnikov_coordinates(v)
 
 
 def action_key(w: BraidWord) -> str:
-    """Canonical text for the induced automorphism (for grouping words)."""
-    return "|".join(
-        ",".join(f"{g * s}" for g, s in img) for img in generator_images(w)
-    )
+    """Canonical text for the action of w (for grouping words)."""
+    return ",".join(map(str, dynnikov_coordinates(w)))
