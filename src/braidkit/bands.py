@@ -255,12 +255,6 @@ class Factorization:
     def factor_keys(self) -> tuple[str, ...]:
         return tuple(canonical_key(f) for f in self.factors)
 
-    def as_dict(self) -> dict:
-        return {
-            "strands": self.n,
-            "factors": [str(f) for f in self.factors],
-        }
-
 
 def band_factorization(w: BandWord) -> Factorization:
     """One expanded factor per band letter."""

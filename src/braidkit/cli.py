@@ -18,7 +18,11 @@ The parser is built once per process, on the first `main` call.  Each
 call picks its handler by command name at call time (`cmd_` plus the
 name with ``-`` as ``_``), so a handler replaced later still runs.
 A handler returns (exit code, payload, text) and prints nothing; `main`
-prints the result once, as JSON or as the text.
+prints the result once, as JSON or as the text.  The handlers build
+every JSON payload from the fields of the results they get, so the JSON
+contract (key names, nulls, moves as signed integers) is written here
+and nowhere else; `verify` passes on the suite reports `run_suite`
+returns.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .hurwitz import (
     apply_sequence,
     find_path,
     move_from_int,
+    move_to_int,
     orbit_explore,
 )
 from .normalform import canonical_key, normal_form, normal_form_key
@@ -104,9 +109,11 @@ _MISSED = {
 
 def _search_exit(res) -> Outcome:
     """A path search's outcome: exit 0 if found, 2 if a cap fired, else 1."""
-    payload = res.as_dict()
+    moves = None if res.moves is None else [move_to_int(m) for m in res.moves]
+    payload = {"status": res.status, "moves": moves, "visited": res.visited,
+               "truncated": res.truncated}
     if res.status == "found":
-        return 0, payload, "found: " + " ".join(map(str, payload["moves"]))
+        return 0, payload, "found: " + " ".join(map(str, moves))
     return 2 if res.truncated else 1, payload, _MISSED[res.status, res.truncated]
 
 
@@ -152,9 +159,9 @@ def cmd_hurwitz_apply(args) -> Outcome:
     f = _factorization_from_json(_load_json_arg(args.factorization))
     moves = _moves_from_json(_load_json_arg(args.moves))
     out = apply_sequence(f, moves)
-    payload = out.as_dict()
-    payload["productKey"] = out.product_key
-    return 0, payload, "\n".join(f"{i + 1}: {w}" for i, w in enumerate(payload["factors"]))
+    factors = [str(w) for w in out.factors]
+    payload = {"strands": out.n, "factors": factors, "productKey": out.product_key}
+    return 0, payload, "\n".join(f"{i + 1}: {w}" for i, w in enumerate(factors))
 
 
 def cmd_hurwitz_path(args) -> Outcome:
@@ -167,11 +174,11 @@ def cmd_hurwitz_path(args) -> Outcome:
 def cmd_orbit(args) -> Outcome:
     f = _factorization_from_json(_load_json_arg(args.factorization))
     rep = orbit_explore(f, **_given(depth_cap=args.depth_cap, size_cap=args.size_cap))
-    payload = rep.as_dict()
-    payload["depthCap"] = args.depth_cap
-    payload["sizeCap"] = args.size_cap
-    if not args.keys:
-        del payload["keys"]
+    payload = {"visited": rep.visited, "depthCounts": list(rep.depth_counts),
+               "truncated": rep.truncated, "depthCap": args.depth_cap,
+               "sizeCap": args.size_cap}
+    if args.keys:
+        payload["keys"] = list(rep.keys)
     depths = ",".join(str(c) for c in rep.depth_counts)
     text = f"visited={rep.visited} truncated={rep.truncated} depths={depths}"
     return 2 if rep.truncated else 0, payload, text
@@ -180,9 +187,10 @@ def cmd_orbit(args) -> Outcome:
 def cmd_rewrite_class(args) -> Outcome:
     w = parse_band_word(args.word, args.strands)
     res = equivalence_class(w, **_given(size_cap=args.size_cap))
-    text = "\n".join([f"size={len(res.words)} truncated={res.truncated}"]
-                     + [str(v) for v in res.words])
-    return 2 if res.truncated else 0, res.as_dict(), text
+    words = [str(v) for v in res.words]
+    payload = {"size": len(words), "truncated": res.truncated, "words": words}
+    text = "\n".join([f"size={len(words)} truncated={res.truncated}"] + words)
+    return 2 if res.truncated else 0, payload, text
 
 
 def cmd_positive_path(args) -> Outcome:
@@ -199,7 +207,9 @@ def cmd_semiframe(args) -> Outcome:
         text = f"accepted witnesses={pairs}"
     else:
         text = f"rejected: {verdict.reason}"
-    return 0 if verdict.accepted else 1, verdict.as_dict(), text
+    payload = {"accepted": verdict.accepted, "witnesses": verdict.witnesses,
+               "reason": verdict.reason}
+    return 0 if verdict.accepted else 1, payload, text
 
 
 def cmd_verify(args) -> Outcome:

@@ -28,8 +28,11 @@ visited map with parent links and layer sizes, one neighbour loop
 `rewriting.neighbors`), one closure walk, one cap rule (a tree always
 holds its root; a size cap turns every later state away once that many
 are held, and the first state it turns away sets `capped` and stops
-the tree: a full tree stops growing), and one parent walk for reading
-a path back.  Every path a search reports is replayed first on real
+the tree: a full tree stops growing; a depth cap sets `capped` only
+if a state at the cap has an unvisited neighbour), and one parent walk
+for reading a path back.  At its depth cap `find_path` reports
+truncated only if both of its trees still have an unvisited
+neighbour.  Every path a search reports is replayed first on real
 factorizations, and a mismatch raises `ReplayError`.
 
 Orbits of full-twist factorizations are infinite from 3 strands on, so
@@ -277,14 +280,6 @@ class OrbitReport:
     truncated: bool
     keys: tuple[str, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "visited": self.visited,
-            "depthCounts": list(self.depth_counts),
-            "truncated": self.truncated,
-            "keys": list(self.keys),
-        }
-
 
 def orbit_explore(
     f: Factorization,
@@ -323,14 +318,6 @@ class PathResult:
     visited: int
     truncated: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "moves": None if self.moves is None else [move_to_int(m) for m in self.moves],
-            "visited": self.visited,
-            "truncated": self.truncated,
-        }
-
 
 def find_path(
     f1: Factorization,
@@ -342,9 +329,14 @@ def find_path(
 
     Each round grows the tree with the smaller frontier by one layer;
     the size cap bounds both trees together, so once either tree is
-    full neither can admit a state and the search stops.  Found
-    sequences are verified by replay before being returned: the final
-    tuple matches f2 in per-factor keys, position by position.
+    full neither can admit a state and the search stops.  The depth cap
+    bounds the two trees' depths together.  When it is reached, each tree
+    is probed as `SearchTree.close` probes at its depth cap, admitting
+    nothing, and the result is truncated only if both trees still have an
+    unvisited neighbour: a tree with none holds its whole orbit, and as
+    the trees never met, the other end is not in it.  Found sequences are
+    verified by replay before being returned: the final tuple matches f2
+    in per-factor keys, position by position.
     """
     if f1.n != f2.n:
         raise MoveError(f"strand counts differ: {f1.n} vs {f2.n}")
@@ -366,8 +358,9 @@ def find_path(
 
     while fwd.frontier and bwd.frontier:
         if depth_cap is not None and len(fwd.layers) + len(bwd.layers) - 2 >= depth_cap:
+            truncated = all(t.close(None, len(t.layers) - 1).capped for t in (fwd, bwd))
             return PathResult(
-                "not_found", None, len(fwd.parents) + len(bwd.parents), True
+                "not_found", None, len(fwd.parents) + len(bwd.parents), truncated
             )
         if len(fwd.frontier) <= len(bwd.frontier):
             tree, other = fwd, bwd

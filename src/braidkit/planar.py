@@ -216,13 +216,6 @@ class Verdict:
     witnesses: dict[str, int] | None
     reason: str | None
 
-    def as_dict(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "witnesses": self.witnesses,
-            "reason": self.reason,
-        }
-
 
 def check_semiframe(m: CombMap) -> Verdict:
     """Does some face (or the designated one) see all punctures per component?

@@ -160,13 +160,6 @@ class ClosureResult:
     words: tuple[BandWord, ...]
     truncated: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "size": len(self.words),
-            "truncated": self.truncated,
-            "words": [str(w) for w in self.words],
-        }
-
 
 def closure_tree(w: BandWord, size_cap: int = 10**6) -> SearchTree:
     """The breadth-first tree of w's closure under single relation rewrites.

@@ -7,7 +7,8 @@ on a spelling of Delta^2, an equal and an unequal `eq` pair, `conj`,
 `band-expand`, `delta2`, `hurwitz-apply` with a mixed-sign move list,
 every `verify` suite at 3 strands in both formats, the two 4-strand
 suites that stop at a cap, every status of `hurwitz-path` and
-`positive-path`, capped and uncapped `orbit --keys` and
+`positive-path` (with a depth-capped `hurwitz-path` that exhausts both
+orbits), capped and uncapped `orbit --keys` and
 `rewrite-class`, and `semiframe` on band maps at n = 4-8 and on a
 rejected wheel map.  The argv of a `semiframe` case carries the map
 JSON that `band_subgraph_map` drew, so a change to the drawn maps fails
@@ -110,6 +111,8 @@ def cases():
     both("hurwitz-path-size-capped",
          ["hurwitz-path", "--size-cap", "30", STD3, fact(3, "2", "1", "2", "1", "2", "1")])
     both("hurwitz-path-exhausted", ["hurwitz-path", fact(3, "1 2", ""), PAIR])
+    both("hurwitz-path-depth-exhausted",
+         ["hurwitz-path", "--depth-cap", "2", PAIR, fact(3, "1 2", "")])
 
     both("positive-path-found", ["positive-path", "--strands", "3", "3:2 2:1", "3:1 3:2"])
     both("positive-path-found-4",

@@ -241,12 +241,3 @@ def test_strand_and_length_mismatch_raise():
         find_path(fact(3, "1"), fact(4, "1"))
     with pytest.raises(MoveError):
         find_path(fact(3, "1", "2"), fact(3, "1"))
-
-
-def test_path_result_serialization():
-    src = band_factorization(parse_band_word("3:2 2:1", 3))
-    dst = band_factorization(parse_band_word("3:1 3:2", 3))
-    d = find_path(src, dst).as_dict()
-    assert d["status"] == "found"
-    assert d["moves"] == [1]
-    assert d["truncated"] is False

@@ -226,6 +226,11 @@ def reference_path(f1, f2, depth_cap=None, size_cap=None):
         return SimpleNamespace(parents={tuple_key(f): (None, None)}, frontier=[f],
                                depth=0, capped=False)
 
+    def open_ended(t):
+        # Past the depth cap a tree only looks for an unvisited neighbor.
+        return any(tuple_key(h) not in t.parents
+                   for g in t.frontier for h, _ in reference_moves(g))
+
     def path(t, key):
         steps = []
         while t.parents[key][0] is not None:
@@ -241,7 +246,7 @@ def reference_path(f1, f2, depth_cap=None, size_cap=None):
     while fwd.frontier and bwd.frontier:
         visited = len(fwd.parents) + len(bwd.parents)
         if depth_cap is not None and fwd.depth + bwd.depth >= depth_cap:
-            return "not_found", None, visited, True
+            return "not_found", None, visited, open_ended(fwd) and open_ended(bwd)
         t, other = (fwd, bwd) if len(fwd.frontier) <= len(bwd.frontier) else (bwd, fwd)
         limit = None if size_cap is None else size_cap - len(other.parents)
         meet, nxt = None, []
@@ -291,6 +296,10 @@ def path_cases():
     rng = random.Random(4052)
     cases = [(fact(3, "1 2", ""), fact(3, "1", "2"), None, None),
              (fact(3, "1", "2"), fact(3, "2", "1"), None, None)]
+    # Finite orbits of 3 and 2 states that do not meet: under a depth cap
+    # both trees may hold their whole orbits, a conclusive "not found".
+    cases += [(fact(3, "1", "2"), fact(3, "1 2", ""), depth_cap, None)
+              for depth_cap in range(4)]
     for n, steps, caps in ((3, 1, [(None, None)]),
                            (3, 3, [(None, None), (2, None), (None, 30)]),
                            (3, 4, [(6, 400), (None, 12)]),
@@ -303,14 +312,17 @@ def path_cases():
 
 
 def test_find_path_matches_a_reference_search_over_apply_move():
-    statuses = set()
+    statuses, depth_capped = set(), set()
     for f1, f2, depth_cap, size_cap in path_cases():
         res = find_path(f1, f2, depth_cap, size_cap)
         got = (res.status, res.moves, res.visited, res.truncated)
         assert got == reference_path(f1, f2, depth_cap, size_cap), (f1, f2, depth_cap, size_cap)
         statuses.add((res.status, res.truncated))
+        if depth_cap is not None:
+            depth_capped.add((res.status, res.truncated))
     assert statuses == {("found", False), ("not_found", True), ("not_found", False),
                         ("not_comparable", False)}
+    assert {("not_found", True), ("not_found", False)} <= depth_capped
 
 
 @pytest.fixture
