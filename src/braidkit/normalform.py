@@ -43,14 +43,6 @@ class NormalForm:
     factors: tuple[Perm, ...]
 
     @property
-    def inf(self) -> int:
-        return self.delta_power
-
-    @property
-    def sup(self) -> int:
-        return self.delta_power + len(self.factors)
-
-    @property
     def canonical_length(self) -> int:
         return len(self.factors)
 

@@ -223,11 +223,16 @@ def check_semiframe(m: CombMap) -> Verdict:
     Free mode accepts when every component has at least one face whose
     incident vertices include all of that component's punctures; the
     witness reported is the first such face index.  Fixed mode accepts
-    only if the designated faces witness this.
+    only if the designated faces witness this; an outer key that names
+    no component is malformed input.
     """
     puncture_ids = {v.id for v in m.vertices if v.kind == "puncture"}
+    by_component = face_indices(trace_faces(m))
+    for cid in m.outer if m.mode == "fixed" else ():
+        if cid not in by_component:
+            raise MapError(f"fixed mode: outer names {cid!r}, which is not a component id")
     witnesses: dict[str, int] = {}
-    for cid, faces in sorted(face_indices(trace_faces(m)).items()):
+    for cid, faces in sorted(by_component.items()):
         # Every vertex lies on a face of its component (an isolated one on
         # its synthetic face), so the faces name the component's punctures.
         need = puncture_ids.intersection(v for f in faces for v in f.vertices)
@@ -400,14 +405,18 @@ def _text(value, what: str) -> str:
     return value
 
 
+def _ends(value) -> tuple[str, str]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise MapError(f"edge ends must be a list of two vertex ids, got {value!r}")
+    return _text(value[0], "edge end"), _text(value[1], "edge end")
+
+
 def map_from_json(data: dict) -> CombMap:
     """The map of a JSON object; `trace_faces` validates its structure."""
     try:
         vertices = tuple(Vertex(_text(v["id"], "vertex id"), _text(v["kind"], "vertex kind"))
                          for v in data["vertices"])
-        edges = tuple(Edge(_text(e["id"], "edge id"), (_text(e["ends"][0], "edge end"),
-                                                        _text(e["ends"][1], "edge end")))
-                      for e in data["edges"])
+        edges = tuple(Edge(_text(e["id"], "edge id"), _ends(e["ends"])) for e in data["edges"])
         rotations = {
             v: tuple(_text(d, "rotation dart") for d in ring)
             for v, ring in data.get("rotations", {}).items()

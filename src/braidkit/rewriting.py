@@ -8,7 +8,8 @@ the expanded factorizations.  Closures and path searches grow the
 breadth-first `SearchTree` of `hurwitz` over packed words: each
 letter a_{t,s} is its index in `all_generators`, which keeps the (t, s)
 order, so sorting packed words sorts the words.  `_rewrites` alone says
-which rewrites apply to an ordered pair of letters: `apply_step` reads
+which rewrites apply to an ordered pair of letters, reading a chain
+pair's relation triple off the pair's own indices: `apply_step` reads
 it, and a per-n dict packs its answer per pair on first lookup; that
 dict's `__getitem__` is the tree's `pairs`.  The per-n tables hold only
 the letters and pairs a search meets, so a search on many strands builds
@@ -41,7 +42,6 @@ from .bands import (
     PairClass,
     band_factorization,
     chain_forms,
-    chain_triple,
     classify_pair,
 )
 from .hurwitz import Move, PathResult, SearchTree, apply_sequence, check_replay
@@ -67,14 +67,16 @@ def _rewrites(x: BandGenerator, y: BandGenerator) -> tuple:
     """The (replacement pair, rule) rewrites of the ordered pair x y, in RULES order.
 
     A chain pair moves to the other two forms of its relation, a
-    commuting pair swaps, and any other pair has no rewrite.
+    commuting pair swaps, and any other pair has no rewrite.  The two
+    letters of a chain pair use exactly the relation's indices t > s > r,
+    so the triple is read off them.
     """
     cls = classify_pair(x, y)
     if cls is PairClass.COMMUTING:
         return (((y, x), "Comm"),)
     if cls is PairClass.INTERLEAVED:
         return ()
-    forms = chain_forms(x.n, *chain_triple(x, y))
+    forms = chain_forms(x.n, *sorted({x.t, x.s, y.t, y.s}, reverse=True))
     here = cls.value[-1]  # ChainA, ChainB or ChainC
     return tuple((forms[rule[-1]], rule) for rule in RULES if rule.startswith(here + "->"))
 

@@ -4,7 +4,8 @@ Each suite returns a plain dict (JSON-serializable, deterministic for a
 fixed seed) with at least ``suite``, ``strands``, ``ok``, ``checks`` and
 ``failures``.  Search-backed suites also set ``inconclusive`` when a cap
 fired before the question was settled, so callers can distinguish a
-definite failure from an exhausted budget.
+definite failure from an exhausted budget.  `run_suite` runs one suite
+by name and is the one place that rejects an unknown name.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import itertools
 import random
 
 from .bands import (
+    BandError,
     BandGenerator,
     BandWord,
     Factorization,
@@ -150,16 +152,16 @@ def _positive_corpus(n: int, max_len: int) -> list[BandWord]:
             for length in range(max_len + 1) for combo in itertools.product(gens, repeat=length)]
 
 
-def suite_embedding(n: int, max_len: int | None = None) -> dict:
+def suite_embedding(n: int) -> dict:
     """Same rewrite component iff equal products, over a full corpus.
 
     Relation steps preserve length, so the corpus (all positive band
-    words up to a length bound) is closed under single rewrites and its
-    rewrite-graph components are exactly the relation closures.  Each
-    word is labelled with the closure of the first unlabelled word.
+    words up to length 4 at 3 strands, 3 otherwise) is closed under
+    single rewrites and its rewrite-graph components are exactly the
+    relation closures.  Each word is labelled with the closure of the
+    first unlabelled word.
     """
-    if max_len is None:
-        max_len = 4 if n == 3 else 3
+    max_len = 4 if n == 3 else 3
     corpus = _positive_corpus(n, max_len)
     label: dict[BandWord, int] = {}
     firsts: list[BandWord] = []
@@ -315,7 +317,12 @@ def run_suite(
     depth_cap: int | None = None,
     size_cap: int | None = None,
 ) -> dict:
-    """Run one named suite; a cap left as None takes the suite's default."""
+    """Run one named suite; a cap left as None takes the suite's default.
+
+    An unknown name is rejected before the strand count is checked.
+    """
+    if name not in SUITE_NAMES:
+        raise BandError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     _check_strands(n)
     if name == "relations":
         return suite_relations(n)
@@ -329,6 +336,4 @@ def run_suite(
         return suite_twist_closure(n, seed=seed, **_given(size_cap=size_cap))
     if name == "conjugated-split":
         return suite_conjugated_split(n, **_given(depth_cap=depth_cap, size_cap=size_cap))
-    if name == "action-axioms":
-        return suite_action_axioms(n, seed=seed)
-    raise ValueError(f"unknown suite {name!r}")
+    return suite_action_axioms(n, seed=seed)

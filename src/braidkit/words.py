@@ -150,8 +150,8 @@ def underlying_permutation(w: BraidWord) -> Perm:
     return p
 
 
-def generator(n: int, i: int, sign: int = 1) -> BraidWord:
-    return BraidWord(n, ((i, sign),))
+def generator(n: int, i: int) -> BraidWord:
+    return BraidWord(n, ((i, 1),))
 
 
 def delta_word(n: int) -> BraidWord:

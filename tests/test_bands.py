@@ -9,7 +9,6 @@ from braidkit.bands import (
     all_generators,
     band_factorization,
     band_relations_hold,
-    chain_triple,
     classify_pair,
     conjugated_factorization,
     delta_squared_word,
@@ -116,14 +115,6 @@ def test_nested_pairs_commute():
     # One band strictly inside the other.
     assert classify_pair(g(5, 5, 1), g(5, 3, 2)) is PairClass.COMMUTING
     assert classify_pair(g(5, 3, 2), g(5, 5, 1)) is PairClass.COMMUTING
-
-
-def test_chain_triple():
-    assert chain_triple(g(4, 3, 2), g(4, 2, 1)) == (3, 2, 1)
-    assert chain_triple(g(4, 3, 1), g(4, 3, 2)) == (3, 2, 1)
-    assert chain_triple(g(4, 2, 1), g(4, 3, 1)) == (3, 2, 1)
-    with pytest.raises(BandError):
-        chain_triple(g(4, 2, 1), g(4, 4, 3))
 
 
 def test_relation_counts():

@@ -232,9 +232,10 @@ def test_verify_inconclusive(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    code, _, err = run(capsys, "verify", "nonsense")
-    assert code == 3
-    assert "unknown suite" in err
+    for argv in (["nonsense"], ["relations", "nonsense"], ["nonsense", "--strands", "1"]):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (3, "")
+        assert "unknown suite 'nonsense'" in err
 
 
 def test_usage_errors_are_malformed_input(capsys):
@@ -322,6 +323,9 @@ def test_usage_error_raises_systemexit():
 
 ONE_PUNCTURE = {"vertices": [{"id": "p1", "kind": "puncture"}], "edges": [],
                 "rotations": {}, "mode": "fixed"}
+ONE_EDGE = {"vertices": [{"id": "a", "kind": "puncture"}, {"id": "b", "kind": "puncture"}],
+            "edges": [{"id": "e", "ends": ["a", "b"]}],
+            "rotations": {"a": ["e:0"], "b": ["e:1"]}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -332,6 +336,9 @@ ONE_PUNCTURE = {"vertices": [{"id": "p1", "kind": "puncture"}], "edges": [],
     ("semiframe", json.dumps(dict(ONE_PUNCTURE, outer={"p1": "x"}))),
     ("semiframe", '{"vertices": [{"id": [1], "kind": "puncture"}], "edges": []}'),
     ("semiframe", json.dumps(dict(ONE_PUNCTURE, rotations={"p1": [["a", 0]]}))),
+    ("semiframe", json.dumps(dict(ONE_EDGE, edges=[{"id": "e", "ends": "ab"}]))),
+    ("semiframe", json.dumps(dict(ONE_EDGE, edges=[{"id": "e", "ends": ["a", "b", "zz"]}]))),
+    ("semiframe", json.dumps(dict(ONE_EDGE, mode="fixed", outer={"a": 0, "ghost": 3}))),
     ("orbit", '{"strands": 0, "factors": []}'),
     ("hurwitz-path", '{"strands": 1, "factors": []}', '{"strands": 1, "factors": []}'),
     ("hurwitz-apply", '{"strands": 1, "factors": []}', "[]"),

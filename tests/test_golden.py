@@ -5,8 +5,9 @@ the exit code byte for byte with `golden_cli.json`.  The cases cover
 `nf` at n = 3-6 on words with negative letters, on the empty word and
 on a spelling of Delta^2, an equal and an unequal `eq` pair, `conj`,
 `band-expand`, `delta2`, `hurwitz-apply` with a mixed-sign move list,
-every `verify` suite at 3 strands in both formats, the two 4-strand
-suites that stop at a cap, every status of `hurwitz-path` and
+every `verify` suite at 3 strands in both formats, all suites at 2
+strands (where `relations` and `chain-rules` have no instances), the
+two 4-strand suites that stop at a cap, every status of `hurwitz-path` and
 `positive-path` (with a depth-capped `hurwitz-path` that exhausts both
 orbits), capped and uncapped `orbit --keys` and
 `rewrite-class`, and `semiframe` on band maps at n = 4-8 and on a
@@ -97,6 +98,7 @@ def cases():
     for suite in SUITES:
         both(f"verify-{suite}-3", ["verify", suite, "--strands", "3"])
     both("verify-all-3", ["verify", "--strands", "3"])
+    both("verify-all-2", ["verify", "--strands", "2"])
     both("verify-conjugated-split-4", ["verify", "conjugated-split", "--strands", "4"])
     both("verify-twist-closure-4-capped",
          ["verify", "twist-closure", "--strands", "4", "--size-cap", "1000"])

@@ -14,7 +14,7 @@ from braidkit.verify import run_suite, suite_conjugated_split, suite_embedding
     (5, 3, 1111, 516),
 ])
 def test_embedding_components_are_the_product_classes(n, max_len, checks, classes):
-    rep = suite_embedding(n, max_len)
+    rep = suite_embedding(n)
     assert (rep["ok"], rep["inconclusive"], rep["failures"]) == (True, False, [])
     assert (rep["checks"], rep["classes"], rep["maxLen"]) == (checks, classes, max_len)
 
