@@ -52,7 +52,7 @@ from .hurwitz import (
 from .normalform import canonical_key, normal_form, normal_form_key
 from .planar import MapError, check_semiframe, map_from_json
 from .rewriting import equivalence_class, hurwitz_path_positive
-from .verify import DEFAULT_SEED, SUITE_NAMES, _given, run_suite
+from .verify import DEFAULT_SEED, SUITE_NAMES, _given, check_suite_names, run_suite
 from .words import WordError, conjugate, format_word, parse_word
 
 InputError = (WordError, BandError, MoveError, MapError)
@@ -213,8 +213,10 @@ def cmd_semiframe(args) -> Outcome:
 
 
 def cmd_verify(args) -> Outcome:
+    names = args.suites or SUITE_NAMES
+    check_suite_names(names)  # before any suite runs
     reports = [run_suite(name, args.strands, args.seed, args.depth_cap, args.size_cap)
-               for name in args.suites or SUITE_NAMES]
+               for name in names]
     hard_fail = any(not r["ok"] and not r["inconclusive"] for r in reports)
     inconclusive = any(r["inconclusive"] for r in reports)
     lines = []

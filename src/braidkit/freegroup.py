@@ -27,6 +27,13 @@ punctures are what keep the full twist Delta^2 from acting trivially.
 Each letter costs O(1) operations on integers of O(length) bits.  The
 route shares nothing with the Garside normal form in `normalform`,
 which keeps the two equality routes independent.
+
+The same coordinates tell factors apart in the Hurwitz searches of
+`hurwitz`: a search keys each factor it meets by its vector and carries
+the vectors of the factor and of its inverse, so `act` gives the vector
+of a conjugate from a stored vector and the letters of the two factors
+alone, with no normal form computed.  Normal forms still key what the
+searches print and check their replays.
 """
 
 from __future__ import annotations
@@ -56,14 +63,19 @@ def _sigma_inverse(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int, i
             x2 - y2m - (v if v < 0 else 0), y1 - zm)
 
 
-def dynnikov_coordinates(w: BraidWord) -> tuple[int, ...]:
-    """The image of the trivial lamination under w, as 2n integers."""
-    c = [0, 1] * w.n
-    for index, sign in w.letters:
+def act(vector: tuple[int, ...], letters) -> tuple[int, ...]:
+    """The image of a coordinate vector under the letters, first letter first."""
+    c = list(vector)
+    for index, sign in letters:
         j = 2 * index - 2
         x1, y1, x2, y2 = c[j:j + 4]
         c[j:j + 4] = (_sigma if sign > 0 else _sigma_inverse)(x1, y1, x2, y2)
     return tuple(c)
+
+
+def dynnikov_coordinates(w: BraidWord) -> tuple[int, ...]:
+    """The image of the trivial lamination under w, as 2n integers."""
+    return act((0, 1) * w.n, w.letters)
 
 
 def words_act_equally(u: BraidWord, v: BraidWord) -> bool:

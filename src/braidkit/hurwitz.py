@@ -10,15 +10,17 @@ braid.  Positions are 1-based.
 canonical keys joined with ";", so two factorizations share a key
 exactly when their factors are equal as braids position by position.
 Orbit and path search do not build a `Factorization` per state.  Each
-search interns the factors it meets as small ints keyed by canonical
-key, and a state is the tuple of its factors' ids, so two states are
-equal exactly when their tuple keys are.  One memoized move table maps
-a pair of ids to the pairs R_k and R_k^-1 leave.  An entry is filled
-once per distinct pair of factors, by `apply_move` in each direction,
-and only the one new factor of each result is interned, since the
-other already has its id.  `apply_move` builds the new factor as one
-free reduction of its letters.  Emitted keys are joined back into
-`tuple_key` text and sorted, so output is reproducible run to run.
+search interns the factors it meets as small ints keyed by their
+Dynnikov coordinates (`freegroup`), which are the same for exactly the
+words equal as braids, and a state is the tuple of its factors' ids, so
+two states are equal exactly when their tuple keys are.  One memoized
+move table maps a pair of ids to the pairs R_k and R_k^-1 leave.  An
+entry is filled once per distinct pair of factors by acting on the
+coordinates each id carries, and a word is built, by the move formula
+`apply_move` uses, only for a factor whose coordinates are new.  Normal
+forms serve only the keys `orbit_explore` prints and the replay checks.
+Emitted keys are joined back into `tuple_key` text and sorted, so
+output is reproducible run to run.
 
 Every breadth-first search in the package, these two and the relation
 rewrites of `rewriting`, grows a `SearchTree` whose states change one
@@ -33,12 +35,13 @@ if a state at the cap has an unvisited neighbour), and one parent walk
 for reading a path back.  At its depth cap `find_path` reports
 truncated only if both of its trees still have an unvisited
 neighbour.  Every path a search reports is replayed first on real
-factorizations, and a mismatch raises `ReplayError`.
+factorizations, as is the move that admitted an orbit's last state,
+and a mismatch raises `ReplayError`.
 
 Orbits of full-twist factorizations are infinite from 3 strands on, so
 orbit and path search hold at most `DEFAULT_SIZE_CAP` (50,000) states
 unless the caller gives a size cap; at 3 strands that many take about
-5 s and 90 MB.
+2 s and 65 MB.
 
 Serialized moves are signed integers: k stands for R_k and -k for
 R_k^-1.
@@ -50,6 +53,7 @@ import math
 from dataclasses import dataclass
 
 from .bands import Factorization
+from .freegroup import act
 from .normalform import canonical_key
 from .words import BraidWord, _reduce
 
@@ -99,31 +103,66 @@ def _unchecked(cls, **fields):
     return out
 
 
-def apply_move(f: Factorization, m: Move) -> Factorization:
-    if m.k > len(f) - 1:
+class _Flipped(dict):
+    """Each letter (i, s) to (i, -s), made once, so inverses share their letters."""
+
+    def __missing__(self, letter):
+        self[letter] = flipped = (letter[0], -letter[1])
+        return flipped
+
+
+_FLIPPED = _Flipped()
+
+
+def _inverse(letters: tuple) -> tuple:
+    """The letters of a word's inverse: reversed, signs flipped."""
+    return tuple(map(_FLIPPED.__getitem__, reversed(letters)))
+
+
+def _move_pair(x, y, direction: int, conjugate) -> tuple:
+    """The pair R^direction leaves of the adjacent factors (x, y).
+
+    That is (x y x^-1, x) forward and (y, y^-1 x y) backward, with
+    conjugate(h, m, sign) giving h^sign m h^-sign in whatever stands for
+    a factor: words in `apply_move`, ids in a search's move table.
+    """
+    if direction == 1:
+        return conjugate(x, y, 1), x
+    return y, conjugate(y, x, -1)
+
+
+def _conjugate_word(h: BraidWord, m: BraidWord, sign: int) -> BraidWord:
+    """h^sign m h^-sign, for valid, freely reduced words h and m."""
+    # The new factor is then one free reduction of their letters, and the
+    # word skips re-validating.
+    inv = _inverse(h.letters)
+    head, tail = (h.letters, inv) if sign == 1 else (inv, h.letters)
+    return _unchecked(BraidWord, n=h.n, letters=_reduce(head + m.letters + tail))
+
+
+def _move_in_place(factors: list, m: Move) -> None:
+    if m.k > len(factors) - 1:
         raise MoveError(
-            f"move {m} out of range for a factorization of length {len(f)}"
+            f"move {m} out of range for a factorization of length {len(factors)}"
         )
     i = m.k - 1
-    x, y = f.factors[i], f.factors[i + 1]
-    # Stored factors are valid and reduced, so the new factor is one free
-    # reduction of their letters and the words skip re-validating.
-    if m.direction == 1:
-        inv = tuple((j, -s) for j, s in reversed(x.letters))
-        pair = (_unchecked(BraidWord, n=f.n, letters=_reduce(x.letters + y.letters + inv)), x)
-    else:
-        inv = tuple((j, -s) for j, s in reversed(y.letters))
-        pair = (y, _unchecked(BraidWord, n=f.n, letters=_reduce(inv + x.letters + y.letters)))
-    return _unchecked(Factorization, n=f.n, factors=f.factors[:i] + pair + f.factors[i + 2 :])
+    factors[i : i + 2] = _move_pair(factors[i], factors[i + 1], m.direction, _conjugate_word)
+
+
+def apply_move(f: Factorization, m: Move) -> Factorization:
+    factors = list(f.factors)
+    _move_in_place(factors, m)
+    return _unchecked(Factorization, n=f.n, factors=tuple(factors))
 
 
 def apply_sequence(f: Factorization, moves) -> Factorization:
+    factors = list(f.factors)
     for idx, m in enumerate(moves):
         try:
-            f = apply_move(f, m)
+            _move_in_place(factors, m)
         except MoveError as exc:
             raise MoveError(f"move {idx + 1} of the sequence: {exc}") from None
-    return f
+    return _unchecked(Factorization, n=f.n, factors=tuple(factors))
 
 
 def tuple_key(f: Factorization) -> str:
@@ -234,41 +273,71 @@ class SearchTree:
 class _FactorTable(dict):
     """The factors one search meets, interned as small ints, and its move table.
 
-    A factor's id stands for its braid: ids are keyed by `canonical_key`,
-    and the word kept for an id is the first freely reduced word met for
-    it.  As a dict the table maps a pair of ids (a, b) to
+    A factor's id stands for its braid: ids are keyed by the factor's
+    Dynnikov vector (`freegroup.dynnikov_coordinates`, the image of the
+    trivial lamination), which is the same for exactly the words equal
+    as braids.  For each id the table keeps the first freely reduced
+    word met for it, the letters of that word's inverse, and the vectors
+    of both.  As a dict the table maps a pair of ids (a, b) to
     (((a b a^-1, a), 1), ((b, b^-1 a b), -1)), the pairs R_k and R_k^-1
     leave; its `__getitem__` is the tree's `pairs`.  Only the pairs a
     search expands are filled, so a tree that stops at its cap fills no
-    entry past it.  A missing entry is filled by `apply_move` on the two
-    kept words, once per direction, and only the new factor of each
-    result is interned: a and b already have their ids, so a fill looks
-    up two canonical keys.
+    entry past it.  A missing entry is filled through `_move_pair`, the
+    move formula `apply_move` uses, on ids: the vector of x y x^-1 is the
+    stored vector of x acted on by the letters of y and x^-1, and that
+    of y^-1 x y the stored vector of y^-1 acted on by those of x and y,
+    so a fill acts with |x| + |y| letters per direction.  A new factor's
+    word is reduced and kept only when its vector is new, and no fill
+    computes a normal form.
     """
 
     def __init__(self, n: int) -> None:
         super().__init__()
         self.n = n
-        self.ids: dict[str, int] = {}
-        self.words: list = []
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.words: list[BraidWord] = []
+        self.inverses: list[tuple] = []
+        self.vectors: list[tuple[int, ...]] = []
+        self.inverse_vectors: list[tuple[int, ...]] = []
 
-    def _intern(self, key: str, word) -> int:
-        fid = self.ids.setdefault(key, len(self.ids))
-        if fid == len(self.words):
-            self.words.append(word)
+    def _add(self, word: BraidWord, vector, inverse_vector) -> int:
+        fid = self.ids[vector] = len(self.words)
+        self.words.append(word)
+        self.inverses.append(_inverse(word.letters))
+        self.vectors.append(vector)
+        self.inverse_vectors.append(inverse_vector)
         return fid
 
     def state(self, f: Factorization) -> tuple[int, ...]:
         """The ids of f's factors, interning any factor not met before."""
-        return tuple(map(self._intern, f.factor_keys, f.factors))
+        trivial = (0, 1) * self.n
+        met: dict[tuple, int] = {}  # a word repeated in f is looked up once
+        for w in f.factors:
+            if w.letters not in met:
+                vector = act(trivial, w.letters)
+                fid = self.ids.get(vector)
+                if fid is None:
+                    fid = self._add(w, vector, act(trivial, _inverse(w.letters)))
+                met[w.letters] = fid
+        return tuple(met[w.letters] for w in f.factors)
+
+    def _conjugate(self, h: int, m: int, sign: int) -> int:
+        """The id of h^sign m h^-sign, interned with its word if it is new."""
+        if sign == 1:
+            start, tail = self.vectors[h], self.inverses[h]
+        else:
+            start, tail = self.inverse_vectors[h], self.words[h].letters
+        vector = act(start, self.words[m].letters + tail)
+        fid = self.ids.get(vector)
+        if fid is None:
+            word = _conjugate_word(self.words[h], self.words[m], sign)
+            fid = self._add(word, vector, act(start, self.inverses[m] + tail))
+        return fid
 
     def __missing__(self, pair: tuple[int, int]):
         a, b = pair
-        f = _unchecked(Factorization, n=self.n, factors=(self.words[a], self.words[b]))
-        left = apply_move(f, Move(1, 1)).factors[0]
-        right = apply_move(f, Move(1, -1)).factors[1]
-        moved = (((self._intern(canonical_key(left), left), a), 1),
-                 ((b, self._intern(canonical_key(right), right)), -1))
+        moved = ((_move_pair(a, b, 1, self._conjugate), 1),
+                 (_move_pair(a, b, -1, self._conjugate), -1))
         self[pair] = moved
         return moved
 
@@ -294,8 +363,18 @@ def orbit_explore(
     """
     table = _FactorTable(f.n)
     tree = SearchTree(table.state(f), table.__getitem__).close(size_cap, depth_cap)
-    # Ids were handed out in insertion order, so they index the key list.
-    factor_keys = list(table.ids)
+    factor_keys = list(map(canonical_key, table.words))
+    # Coordinates alone told the states apart.  The move that admitted the
+    # last state is replayed by `apply_move` on its parent's words, and the
+    # normal forms of the pair it moved must be the keys printed for it.
+    last = next(reversed(tree.parents))
+    parent, step = tree.parents[last]
+    if parent is not None:
+        i = step[0] - 1
+        words = tuple(map(table.words.__getitem__, parent))
+        moved = apply_move(_unchecked(Factorization, n=f.n, factors=words), Move(*step))
+        check_replay(tuple(map(canonical_key, moved.factors[i : i + 2])),
+                     tuple(map(factor_keys.__getitem__, last[i : i + 2])), "orbit move")
     keys = sorted(";".join(map(factor_keys.__getitem__, state)) for state in tree.parents)
     return OrbitReport(len(tree.parents), tuple(tree.layers), tree.capped, tuple(keys))
 

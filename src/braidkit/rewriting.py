@@ -44,7 +44,7 @@ from .bands import (
     chain_forms,
     classify_pair,
 )
-from .hurwitz import Move, PathResult, SearchTree, apply_sequence, check_replay
+from .hurwitz import Move, PathResult, SearchTree, _unchecked, apply_sequence, check_replay
 
 RULES = ("A->B", "B->C", "C->A", "B->A", "C->B", "A->C", "Comm")
 
@@ -142,8 +142,10 @@ def _tree(w: BandWord) -> SearchTree:
 
 def unpack(n: int, word: tuple[int, ...]) -> BandWord:
     """The band word of a packed word, a state of `closure_tree`."""
+    # Packed letters come from valid band words on n strands, so the
+    # word skips re-validating them.
     gens = _letter_table(n)[0]
-    return BandWord(n, tuple(map(gens.__getitem__, word)))
+    return _unchecked(BandWord, n=n, letters=tuple(map(gens.__getitem__, word)))
 
 
 def neighbors(w: BandWord) -> tuple[tuple[BandWord, RelationStep], ...]:

@@ -5,7 +5,8 @@ fixed seed) with at least ``suite``, ``strands``, ``ok``, ``checks`` and
 ``failures``.  Search-backed suites also set ``inconclusive`` when a cap
 fired before the question was settled, so callers can distinguish a
 definite failure from an exhausted budget.  `run_suite` runs one suite
-by name and is the one place that rejects an unknown name.
+by name; `check_suite_names`, which it calls, is the one place that
+rejects an unknown name.
 """
 
 from __future__ import annotations
@@ -310,6 +311,13 @@ def _given(**caps) -> dict:
     return {k: v for k, v in caps.items() if v is not None}
 
 
+def check_suite_names(names) -> None:
+    """Raise BandError for the first of the names that is no suite."""
+    for name in names:
+        if name not in SUITE_NAMES:
+            raise BandError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+
+
 def run_suite(
     name: str,
     n: int = 3,
@@ -321,8 +329,7 @@ def run_suite(
 
     An unknown name is rejected before the strand count is checked.
     """
-    if name not in SUITE_NAMES:
-        raise BandError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    check_suite_names((name,))
     _check_strands(n)
     if name == "relations":
         return suite_relations(n)

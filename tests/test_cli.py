@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from braidkit import cli, hurwitz
+from braidkit import cli, hurwitz, verify
 from braidkit.cli import main
 from braidkit.planar import map_to_json
 from braidkit.verify import SUITE_NAMES
@@ -236,6 +236,16 @@ def test_verify_unknown_suite(capsys):
         code, out, err = run(capsys, "verify", *argv)
         assert (code, out) == (3, "")
         assert "unknown suite 'nonsense'" in err
+
+
+def test_verify_checks_every_name_before_any_suite_runs(capsys, monkeypatch):
+    ran = []
+    for name in SUITE_NAMES:
+        fn = "suite_" + name.replace("-", "_")
+        monkeypatch.setattr(verify, fn, lambda *args, fn=fn, **kwargs: ran.append(fn))
+    code, out, err = run(capsys, "verify", "twist-closure", "nonsense", "--strands", "4")
+    assert (code, out, ran) == (3, "", [])
+    assert "unknown suite 'nonsense'" in err
 
 
 def test_usage_errors_are_malformed_input(capsys):

@@ -1,5 +1,6 @@
 """Contracts every breadth-first search shares: caps and replay checks."""
 
+import contextlib
 import itertools
 import os
 import random
@@ -8,6 +9,8 @@ import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import braidkit
 from braidkit import cli, hurwitz, normalform, rewriting
@@ -24,6 +27,7 @@ from braidkit.bands import (
     parse_band_word,
     standard_factorization,
 )
+from braidkit.freegroup import dynnikov_coordinates
 from braidkit.hurwitz import (
     Move,
     SearchTree,
@@ -272,7 +276,8 @@ def reference_path(f1, f2, depth_cap=None, size_cap=None):
 def orbit_cases():
     rng = random.Random(2026)
     cases = [(fact(3, "1", "2"), 5, None), (fact(3, "1", "2"), 1, 3),
-             (fact(4, "1", "3"), None, 10), (fact(3, "1", "2", "1"), None, 100)]
+             (fact(4, "1", "3"), None, 10), (fact(3, "1", "2", "1"), None, 100),
+             (standard_factorization(3), None, 1500)]
     for n, caps in ((3, [(None, 40), (2, None), (3, 25), (0, None), (None, 0)]),
                     (4, [(None, 30), (1, None), (2, 40)]),
                     (5, [(None, 20), (1, 60)])):
@@ -325,19 +330,15 @@ def test_find_path_matches_a_reference_search_over_apply_move():
     assert {("not_found", True), ("not_found", False)} <= depth_capped
 
 
-@pytest.fixture
-def tables(monkeypatch):
-    """Every move table the searches build, each recording its fills in
-    order as (pair, canonical keys looked up during the fill)."""
+@contextlib.contextmanager
+def recorded_tables():
+    """Every move table the searches build while the context is open, each
+    recording its fills in order as (pair, canonical keys looked up during the fill)."""
     real, lookups, made = normalform.canonical_key, [0], []
 
     def counted(w):
         lookups[0] += 1
         return real(w)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("braidkit") and getattr(module, "canonical_key", None) is real:
-            monkeypatch.setattr(module, "canonical_key", counted)
 
     class Recorded(hurwitz._FactorTable):
         def __init__(self, n):
@@ -351,16 +352,36 @@ def tables(monkeypatch):
             self.fills.append((pair, lookups[0] - before))
             return moved
 
-    monkeypatch.setattr(hurwitz, "_FactorTable", Recorded)
-    return made
+    with pytest.MonkeyPatch.context() as mp:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("braidkit") and getattr(module, "canonical_key", None) is real:
+                mp.setattr(module, "canonical_key", counted)
+        mp.setattr(hurwitz, "_FactorTable", Recorded)
+        yield made
+
+
+def check_entries(table):
+    """Each filled pair of ids moves to the ids whose kept words have the
+    canonical keys of a b a^-1 and b^-1 a b, and no two ids share a key."""
+    key = normalform.canonical_key
+    keys = [key(w) for w in table.words]
+    assert len(set(keys)) == len(keys)
+    by_key = {k: fid for fid, k in enumerate(keys)}
+    for (a, b), moved in table.items():
+        x, y = table.words[a], table.words[b]
+        new_left = by_key[key(compose_all(x.n, (x, y, inverse(x))))]
+        new_right = by_key[key(conjugate(x, y))]
+        assert moved == (((new_left, a), 1), ((b, new_right), -1))
 
 
 @pytest.mark.parametrize("n, steps, size_cap", [(3, 3, 300), (4, 2, 300), (5, 1, 200)])
-def test_a_table_fill_interns_only_the_new_factor(tables, n, steps, size_cap):
+def test_a_table_fill_interns_only_the_new_factor(n, steps, size_cap):
     f = walk(standard_factorization(n), random.Random(n), steps)
-    orbit_explore(f, size_cap=size_cap)
+    with recorded_tables() as tables:
+        orbit_explore(f, size_cap=size_cap)
     (table,) = tables
-    assert table.fills and [looked for _, looked in table.fills] == [2] * len(table.fills)
+    # Factors are told apart by their coordinates: no fill computes a key.
+    assert table.fills and [looked for _, looked in table.fills] == [0] * len(table.fills)
     # Words in the order the search met them: the root's factors, then
     # each fill's a b a^-1 and b^-1 a b.  An id keeps the first one met.
     met = list(f.factors)
@@ -370,12 +391,26 @@ def test_a_table_fill_interns_only_the_new_factor(tables, n, steps, size_cap):
     first = {}
     for w in met:
         first.setdefault(normalform.canonical_key(w), w)
-    assert list(table.ids) == list(first) and table.words == list(first.values())
-    for (a, b), moved in table.items():
-        x, y = table.words[a], table.words[b]
-        new_left = table.ids[normalform.canonical_key(compose_all(n, (x, y, inverse(x))))]
-        new_right = table.ids[normalform.canonical_key(conjugate(x, y))]
-        assert moved == (((new_left, a), 1), ((b, new_right), -1))
+    assert table.words == list(first.values())
+    check_entries(table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 6), st.integers(0, 4), st.randoms(use_true_random=False))
+def test_carried_vectors_are_the_coordinates_of_the_kept_words(n, steps, rng):
+    f = walk(standard_factorization(n), rng, steps)
+    with recorded_tables() as tables:
+        orbit_explore(f, size_cap=60)
+        find_path(f, walk(f, rng, 3), size_cap=60)
+    assert len(tables) == 2
+    for table in tables:
+        assert list(table.ids.values()) == list(range(len(table.words)))
+        for fid, w in enumerate(table.words):
+            assert table.ids[table.vectors[fid]] == fid
+            assert table.vectors[fid] == dynnikov_coordinates(w)
+            assert table.inverse_vectors[fid] == dynnikov_coordinates(inverse(w))
+            assert table.inverses[fid] == inverse(w).letters
+        check_entries(table)
 
 
 def reference_neighbors(w):
