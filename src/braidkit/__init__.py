@@ -8,146 +8,4 @@ half-twist systems.  Everything is exact integer combinatorics; there
 are no third-party dependencies.
 """
 
-from .bands import (
-    BandError,
-    BandGenerator,
-    BandWord,
-    Factorization,
-    PairClass,
-    all_generators,
-    band_factorization,
-    band_relations_hold,
-    classify_pair,
-    conjugated_factorization,
-    delta_squared_word,
-    expand,
-    expand_word,
-    is_central,
-    parse_band_word,
-    standard_factorization,
-)
-from .freegroup import action_key, dynnikov_coordinates, words_act_equally
-from .hurwitz import (
-    Move,
-    MoveError,
-    OrbitReport,
-    PathResult,
-    ReplayError,
-    apply_move,
-    apply_sequence,
-    find_path,
-    move_from_int,
-    move_to_int,
-    orbit_explore,
-    tuple_key,
-)
-from .normalform import NormalForm, canonical_key, equal, normal_form, to_word
-from .planar import (
-    CombMap,
-    Edge,
-    MapError,
-    Verdict,
-    Vertex,
-    band_subgraph_map,
-    check_semiframe,
-    delete_edge,
-    map_from_json,
-    map_to_json,
-    trace_faces,
-)
-from .rewriting import (
-    ClosureResult,
-    RelationStep,
-    apply_step,
-    equivalence_class,
-    hurwitz_path_positive,
-    neighbors,
-    step_to_move,
-)
-from .words import (
-    BraidWord,
-    WordError,
-    compose,
-    compose_all,
-    conjugate,
-    delta_word,
-    exponent_sum,
-    format_word,
-    free_reduce,
-    generator,
-    inverse,
-    parse_word,
-    underlying_permutation,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BandError",
-    "BandGenerator",
-    "BandWord",
-    "BraidWord",
-    "ClosureResult",
-    "CombMap",
-    "Edge",
-    "Factorization",
-    "MapError",
-    "Move",
-    "MoveError",
-    "NormalForm",
-    "OrbitReport",
-    "PairClass",
-    "PathResult",
-    "ReplayError",
-    "RelationStep",
-    "Verdict",
-    "Vertex",
-    "WordError",
-    "action_key",
-    "all_generators",
-    "apply_move",
-    "apply_sequence",
-    "apply_step",
-    "band_factorization",
-    "band_relations_hold",
-    "band_subgraph_map",
-    "canonical_key",
-    "check_semiframe",
-    "classify_pair",
-    "compose",
-    "compose_all",
-    "conjugate",
-    "conjugated_factorization",
-    "delete_edge",
-    "delta_squared_word",
-    "delta_word",
-    "dynnikov_coordinates",
-    "equal",
-    "equivalence_class",
-    "expand",
-    "expand_word",
-    "exponent_sum",
-    "find_path",
-    "format_word",
-    "free_reduce",
-    "generator",
-    "hurwitz_path_positive",
-    "inverse",
-    "is_central",
-    "map_from_json",
-    "map_to_json",
-    "move_from_int",
-    "move_to_int",
-    "neighbors",
-    "normal_form",
-    "orbit_explore",
-    "parse_band_word",
-    "parse_word",
-    "standard_factorization",
-    "step_to_move",
-    "to_word",
-    "trace_faces",
-    "tuple_key",
-    "underlying_permutation",
-    "words_act_equally",
-]

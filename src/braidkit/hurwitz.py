@@ -18,9 +18,9 @@ move table maps a pair of ids to the pairs R_k and R_k^-1 leave.  An
 entry is filled once per distinct pair of factors by acting on the
 coordinates each id carries, and a word is built, by the move formula
 `apply_move` uses, only for a factor whose coordinates are new.  Normal
-forms serve only the keys `orbit_explore` prints and the replay checks.
-Emitted keys are joined back into `tuple_key` text and sorted, so
-output is reproducible run to run.
+forms serve only the replay checks and an orbit's keys, which its
+`OrbitReport` builds when they are first read: joined back into
+`tuple_key` text and sorted, so output is reproducible run to run.
 
 Every breadth-first search in the package, these two and the relation
 rewrites of `rewriting`, grows a `SearchTree` whose states change one
@@ -40,8 +40,8 @@ and a mismatch raises `ReplayError`.
 
 Orbits of full-twist factorizations are infinite from 3 strands on, so
 orbit and path search hold at most `DEFAULT_SIZE_CAP` (50,000) states
-unless the caller gives a size cap; at 3 strands that many take about
-2 s and 65 MB.
+unless the caller gives a size cap; at 3 strands `braidkit orbit` holds
+that many in about 0.8 s and 35 MB (1.2 s and 130 MB with `--keys`).
 
 Serialized moves are signed integers: k stands for R_k and -k for
 R_k^-1.
@@ -50,7 +50,8 @@ R_k^-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .bands import Factorization
 from .freegroup import act
@@ -344,10 +345,30 @@ class _FactorTable(dict):
 
 @dataclass(frozen=True)
 class OrbitReport:
+    """What `orbit_explore` found; `keys` are built when first read.
+
+    `states` are the held states as tuples of ids into `words`, the
+    search's kept factor words, and `keys` their sorted tuple keys,
+    built from the words' normal forms on first read.  Keys passed in
+    are taken as given, so `dataclasses.replace` can set them.
+    """
+
     visited: int
     depth_counts: tuple[int, ...]
     truncated: bool
-    keys: tuple[str, ...]
+    states: tuple[tuple[int, ...], ...] = field(repr=False)
+    words: tuple[BraidWord, ...] = field(repr=False)
+
+    def __init__(self, visited, depth_counts, truncated, states, words, keys=None):
+        self.__dict__.update(visited=visited, depth_counts=depth_counts, truncated=truncated,
+                             states=states, words=words)
+        if keys is not None:
+            self.__dict__["keys"] = keys
+
+    @cached_property
+    def keys(self) -> tuple[str, ...]:
+        factor_keys = list(map(canonical_key, self.words))
+        return tuple(sorted(";".join(map(factor_keys.__getitem__, s)) for s in self.states))
 
 
 def orbit_explore(
@@ -363,20 +384,20 @@ def orbit_explore(
     """
     table = _FactorTable(f.n)
     tree = SearchTree(table.state(f), table.__getitem__).close(size_cap, depth_cap)
-    factor_keys = list(map(canonical_key, table.words))
     # Coordinates alone told the states apart.  The move that admitted the
     # last state is replayed by `apply_move` on its parent's words, and the
-    # normal forms of the pair it moved must be the keys printed for it.
+    # normal forms of the pair it moved must be those of the ids of `last`.
     last = next(reversed(tree.parents))
     parent, step = tree.parents[last]
     if parent is not None:
         i = step[0] - 1
         words = tuple(map(table.words.__getitem__, parent))
         moved = apply_move(_unchecked(Factorization, n=f.n, factors=words), Move(*step))
+        kept = map(table.words.__getitem__, last[i : i + 2])
         check_replay(tuple(map(canonical_key, moved.factors[i : i + 2])),
-                     tuple(map(factor_keys.__getitem__, last[i : i + 2])), "orbit move")
-    keys = sorted(";".join(map(factor_keys.__getitem__, state)) for state in tree.parents)
-    return OrbitReport(len(tree.parents), tuple(tree.layers), tree.capped, tuple(keys))
+                     tuple(map(canonical_key, kept)), "orbit move")
+    return OrbitReport(len(tree.parents), tuple(tree.layers), tree.capped,
+                       tuple(tree.parents), tuple(table.words))
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,11 @@ def test_classify_pair(x, y, expected):
     assert classify_pair(g(4, *x), g(4, *y)) is expected
 
 
+def test_classify_pair_rejects_a_strand_mismatch():
+    with pytest.raises(BandError, match="strand counts differ: 4 vs 5"):
+        classify_pair(g(4, 2, 1), g(5, 2, 1))
+
+
 def test_nested_pairs_commute():
     # One band strictly inside the other.
     assert classify_pair(g(5, 5, 1), g(5, 3, 2)) is PairClass.COMMUTING
@@ -197,6 +202,11 @@ def test_conjugated_factorization():
     assert [format_word(w) for w in f.factors] == ["1", "-1 2 1"] * 3
     assert f.product_key == canonical_key(delta_squared_word(3))
     assert conjugated_factorization(3, BraidWord(3)) == standard_factorization(3)
+
+
+def test_conjugated_factorization_rejects_a_conjugator_on_other_strands():
+    with pytest.raises(BandError, match="conjugator strand count 4, expected 3"):
+        conjugated_factorization(3, generator(4, 1))
 
 
 def test_conjugated_product_is_central_for_longer_conjugators():

@@ -231,6 +231,25 @@ def test_verify_inconclusive(capsys):
     assert out.startswith("INCONCLUSIVE twist-closure")
 
 
+def test_a_conclusive_failure_prints_fail_and_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "suite_relations",
+                        lambda n: verify._report("relations", n, 2, ["a relation fails"]))
+    argv = ("verify", "--size-cap", "1", "relations", "twist-closure")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL relations (strands=3, checks=2)",
+        "  - a relation fails",
+        "INCONCLUSIVE twist-closure (strands=3, checks=0)",
+        "  - closure truncated before completing",
+    ]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert code == 1 and payload["ok"] is False
+    assert [(s["ok"], s["inconclusive"]) for s in payload["suites"]] == [
+        (False, False), (False, True)]
+
+
 def test_verify_unknown_suite(capsys):
     for argv in (["nonsense"], ["relations", "nonsense"], ["nonsense", "--strands", "1"]):
         code, out, err = run(capsys, "verify", *argv)
@@ -294,6 +313,25 @@ def test_an_omitted_cap_takes_the_search_default(capsys, monkeypatch):
     assert run(capsys, "orbit", *zero, FACT)[0] == 2
     assert run(capsys, "hurwitz-path", *zero, FACT, FACT_MOVED)[0] == 2
     assert seen == [{"depth_cap": 0, "size_cap": 0}] * 2
+
+
+def test_orbit_builds_keys_only_when_it_prints_them(capsys, monkeypatch):
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return real(w)
+
+    real = hurwitz.canonical_key
+    monkeypatch.setattr(hurwitz, "canonical_key", counted)
+    std = json.dumps({"strands": 3, "factors": ["1", "2"] * 3})
+    code, out, _ = run(capsys, "orbit", "--size-cap", "500", std)
+    assert (code, out.split()[:2]) == (2, ["visited=500", "truncated=True"])
+    assert len(calls) <= 4
+    calls.clear()
+    code, out, _ = run(capsys, "orbit", "--size-cap", "500", "--keys", "--format", "json", std)
+    assert code == 2 and len(json.loads(out)["keys"]) == 500
+    assert len(calls) > 4
 
 
 def test_bad_word_is_an_input_error(capsys):

@@ -5,6 +5,7 @@ free-group images in `freegroup_reference` are exponential in the word
 length and serve as a check on short words.
 """
 
+import pytest
 from freegroup_reference import free_word_inverse, generator_images
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from braidkit.bands import delta_squared_word
 from braidkit.freegroup import action_key, dynnikov_coordinates, words_act_equally
 from braidkit.normalform import equal
-from braidkit.words import BraidWord, inverse, parse_word
+from braidkit.words import BraidWord, WordError, inverse, parse_word
 
 
 def test_free_word_inverse():
@@ -62,6 +63,11 @@ def test_action_respects_braid_relations():
     assert words_act_equally(parse_word("1 2 1", 3), parse_word("2 1 2", 3))
     assert words_act_equally(parse_word("1 3", 4), parse_word("3 1", 4))
     assert not words_act_equally(parse_word("1 2", 3), parse_word("2 1", 3))
+
+
+def test_words_on_different_strands_are_not_compared():
+    with pytest.raises(WordError, match="strand counts differ: 3 vs 4"):
+        words_act_equally(parse_word("1", 3), parse_word("1", 4))
 
 
 def test_action_key_is_canonical_text():

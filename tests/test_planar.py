@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ from functools import cmp_to_key
 import pytest
 
 from braidkit.bands import BandGenerator, all_generators
+from braidkit.cli import main
 from braidkit.planar import (
     _abscissae,
     CombMap,
@@ -90,6 +92,24 @@ def test_validate_rejects_rotation_mismatches():
     rot["p1"] = ("a:0", "a:1", "c:1")
     with pytest.raises(MapError, match="listed at"):
         validate_map(CombMap(m.vertices, m.edges, rot))
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda m: m["edges"][1].update(id="a"), "duplicate edge id 'a'"),
+    (lambda m: m["edges"][0].update(ends=["p1", "p9"]), "edge 'a' ends at unknown vertex 'p9'"),
+    (lambda m: m["rotations"].update(p9=[]), "rotation given for unknown vertex 'p9'"),
+    (lambda m: m["rotations"].update(p1=["a:0", "a:0", "c:1"]), "dart 'a:0' appears twice"),
+    (lambda m: m["rotations"].update(p1=["a:0", "c:1", "z:0"]),
+     "rotation at 'p1' lists unknown dart 'z:0'"),
+])
+def test_validate_rejects_bad_edges_and_darts(capsys, change, message):
+    data = map_to_json(triangle())
+    change(data)
+    with pytest.raises(MapError, match=message):
+        validate_map(map_from_json(data))
+    assert main(["semiframe", json.dumps(data)]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
 
 
 def test_validate_rejects_small_crossing():

@@ -95,3 +95,11 @@ def test_action_axioms_fail_when_an_inverse_letter_acts_like_its_generator(monke
     assert (rep["ok"], rep["checks"]) == (False, 842)
     assert "action breaks cancellation at 1" in rep["failures"]
     assert any(text.endswith("does not invert") for text in rep["failures"])
+
+
+@pytest.mark.parametrize("n,checks", [(4, 845), (5, 849)])
+def test_action_axioms_pass_with_far_commutation_from_4_strands(n, checks):
+    # 842 checks at 3 strands, where no pair of generators commutes;
+    # one more per braid relation, far-commuting pair and cancellation.
+    rep = run_suite("action-axioms", n)
+    assert (rep["ok"], rep["inconclusive"], rep["checks"]) == (True, False, checks)
