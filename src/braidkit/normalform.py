@@ -6,7 +6,10 @@ strands crosses at most once, so the factor is described by its
 permutation alone), no factor is trivial or the full twist w0, and the
 sequence is left weighted: the finishing set of f_k contains the
 starting set of f_{k+1}.  That data is unique, so braids are compared by
-comparing it.
+comparing it.  `equal` first compares exponent sums, the image of a word
+under the abelianization sigma_i -> 1: words whose sums differ are
+different braids, which one pass over the letters shows, and only pairs
+whose sums agree reach the normal form.
 
 One forward pass cuts the word into maximal simple chunks of one sign.
 A positive chunk is one factor; a negative chunk borrows one Delta^-1
@@ -31,7 +34,7 @@ from functools import lru_cache
 
 from . import perms
 from .perms import Perm
-from .words import BraidWord, delta_word
+from .words import BraidWord, delta_word, exponent_sum
 
 
 @dataclass(frozen=True)
@@ -170,8 +173,12 @@ def _cached_key(w: BraidWord) -> str:
 
 
 def equal(u: BraidWord, v: BraidWord) -> bool:
-    """Decide equality in the braid group via normal forms."""
-    if u.n != v.n:
+    """Decide equality in the braid group.
+
+    Different strand counts or exponent sums decide "not equal" at once;
+    only words that agree on both are compared by their normal forms.
+    """
+    if u.n != v.n or exponent_sum(u) != exponent_sum(v):
         return False
     return _cached_key(u) == _cached_key(v)
 

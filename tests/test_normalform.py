@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidkit import perms
+from braidkit import normalform, perms
 from braidkit.freegroup import words_act_equally
 from braidkit.normalform import (
     NormalForm,
@@ -120,9 +120,11 @@ def test_agrees_with_the_action_oracle_on_random_pairs():
             (rng.randint(1, 2), rng.choice((1, -1))) for _ in range(rng.randint(0, 7))
         )
         words.append(BraidWord(3, letters))
+    # Most of these pairs differ in exponent sum, which decides `equal`
+    # before any normal form; the keys keep the normal form under test.
     for u in words[:30]:
         for v in words[30:]:
-            assert equal(u, v) == words_act_equally(u, v)
+            assert (canonical_key(u) == canonical_key(v)) == words_act_equally(u, v) == equal(u, v)
 
 
 def test_key_separates_known_distinct_braids():
@@ -140,11 +142,14 @@ def test_inverse_word_has_opposite_key_behavior():
     assert equal(compose(w, inverse(w)), BraidWord(3))
 
 
+def letters_on(n):
+    return st.lists(st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1))), max_size=150)
+
+
 @st.composite
 def braid_words(draw):
     n = draw(st.integers(2, 8))
-    letter = st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1)))
-    return BraidWord(n, tuple(draw(st.lists(letter, max_size=150))))
+    return BraidWord(n, tuple(draw(letters_on(n))))
 
 
 def assert_normal(nf):
@@ -161,6 +166,53 @@ def test_normal_form_is_left_weighted_and_spells_the_braid(w):
     nf = normal_form(w)
     assert_normal(nf)
     assert words_act_equally(to_word(nf), w)
+
+
+@st.composite
+def word_pairs(draw):
+    """Equal, one-letter-flipped, reordered, unrelated and cross-strand pairs."""
+    u = draw(braid_words())
+    n, letters = u.n, list(u.letters)
+    kind = draw(st.sampled_from(("equal", "flipped", "swapped", "unrelated", "strands")))
+    if kind == "strands":
+        return u, BraidWord(n + 1, u.letters)
+    if kind == "unrelated":
+        return u, BraidWord(n, tuple(draw(letters_on(n))))
+    if kind == "equal":
+        # A free pair changes the length but neither the braid nor the sum.
+        i, e = draw(st.integers(1, n - 1)), draw(st.sampled_from((1, -1)))
+        at = draw(st.integers(0, len(letters)))
+        letters[at:at] = [(i, e), (i, -e)]
+    elif len(letters) >= 2:
+        k = draw(st.integers(0, len(letters) - 2))
+        if kind == "flipped":
+            letters[k] = (letters[k][0], -letters[k][1])
+        else:
+            letters[k], letters[k + 1] = letters[k + 1], letters[k]
+    return u, BraidWord(n, tuple(letters))
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_pairs())
+def test_equal_decides_as_the_canonical_keys_do(pair):
+    u, v = pair
+    assert equal(u, v) == (canonical_key(u) == canonical_key(v))
+
+
+def test_equal_skips_the_normal_form_when_exponent_sums_differ(monkeypatch):
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return real(w)
+
+    real = normalform.normal_form
+    normalform._cached_key.cache_clear()
+    monkeypatch.setattr(normalform, "normal_form", counted)
+    assert not equal(parse_word("1 2", 3), parse_word("1 -2", 3))
+    assert len(calls) == 0
+    assert equal(parse_word("1 2 1", 3), parse_word("2 1 2", 3))
+    assert len(calls) == 2
 
 
 def test_long_word_normal_form_completes():
