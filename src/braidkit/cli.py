@@ -177,7 +177,7 @@ def cmd_orbit(args) -> Outcome:
     payload = {"visited": rep.visited, "depthCounts": list(rep.depth_counts),
                "truncated": rep.truncated, "depthCap": args.depth_cap,
                "sizeCap": args.size_cap}
-    if args.keys:
+    if args.keys and args.format == "json":
         payload["keys"] = list(rep.keys)
     depths = ",".join(str(c) for c in rep.depth_counts)
     text = f"visited={rep.visited} truncated={rep.truncated} depths={depths}"

@@ -41,7 +41,8 @@ and a mismatch raises `ReplayError`.
 Orbits of full-twist factorizations are infinite from 3 strands on, so
 orbit and path search hold at most `DEFAULT_SIZE_CAP` (50,000) states
 unless the caller gives a size cap; at 3 strands `braidkit orbit` holds
-that many in about 0.8 s and 35 MB (1.2 s and 130 MB with `--keys`).
+that many in about 0.8 s and 35 MB (1.2 s and 130 MB with `--keys
+--format json`).
 
 Serialized moves are signed integers: k stands for R_k and -k for
 R_k^-1.

@@ -20,11 +20,12 @@ each factor the sequence is made left weighted again by a walk leftward
 from the new pair that stops at the first pair left unchanged, so the
 cost follows the letters that move, not a sweep over the whole sequence.
 
-The permutation conventions follow `perms`: one-line tuples are
-0-based and `compose(p, q)` applies p first.  Under that convention the
-starting set of a factor is `left_descents` and the finishing set is
-`right_descents`, letter sigma_i contributes the adjacent transposition
-at 0-based position i - 1.
+A permutation is a tuple (or, while it is built, a list) p of 0-based
+images, p[i] being the image of position i, and a product applies its
+left factor first.  Letter sigma_i is the adjacent transposition of
+0-based positions i - 1 and i.  The starting set of a factor p is the
+set of i with p[i] > p[i+1], and its finishing set is the starting set
+of p's inverse.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import perms
-from .perms import Perm
-from .words import BraidWord, delta_word, exponent_sum
+from .words import BraidWord, Perm, delta_word, exponent_sum
 
 
 @dataclass(frozen=True)
@@ -151,7 +150,7 @@ def normal_form(w: BraidWord) -> NormalForm:
         if right % 2:
             q, qi = [m - v for v in reversed(q)], [m - v for v in reversed(qi)]
         pairs.append((q, qi))
-    w0 = perms.longest(n)
+    w0 = tuple(range(m, -1, -1))
     factors = _left_weighted(pairs, n)
     while factors and factors[0] == w0:
         factors.pop(0)
@@ -189,15 +188,22 @@ def canonical_key(w: BraidWord) -> str:
 
 
 def _factor_word(p: Perm) -> list[tuple[int, int]]:
+    """Positive letters spelling p, each the smallest start of what is left.
+
+    Stripping letter i swaps positions i, i+1 and leaves no start below
+    i - 1, so the scan steps back one place, as in `_transfer`.
+    """
     letters: list[tuple[int, int]] = []
-    q = p
-    while True:
-        starts = perms.left_descents(q)
-        if not starts:
-            break
-        i = min(starts)
-        letters.append((i + 1, 1))
-        q = perms.swap_positions(q, i)
+    q = list(p)
+    i = 0
+    while i < len(q) - 1:
+        if q[i] > q[i + 1]:
+            q[i], q[i + 1] = q[i + 1], q[i]
+            letters.append((i + 1, 1))
+            if i:
+                i -= 1
+        else:
+            i += 1
     return letters
 
 

@@ -50,6 +50,8 @@ RULES = ("A->B", "B->C", "C->A", "B->A", "C->B", "A->C", "Comm")
 
 _FORWARD = {"A->B", "B->C", "C->A", "Comm"}
 
+DEFAULT_WORD_CAP = 10**6
+
 
 @dataclass(frozen=True)
 class RelationStep:
@@ -165,7 +167,7 @@ class ClosureResult:
     truncated: bool
 
 
-def closure_tree(w: BandWord, size_cap: int = 10**6) -> SearchTree:
+def closure_tree(w: BandWord, size_cap: int = DEFAULT_WORD_CAP) -> SearchTree:
     """The breadth-first tree of w's closure under single relation rewrites.
 
     States are packed words (see `unpack`); each parent link holds the
@@ -176,7 +178,7 @@ def closure_tree(w: BandWord, size_cap: int = 10**6) -> SearchTree:
     return _tree(w).close(size_cap)
 
 
-def equivalence_class(w: BandWord, size_cap: int = 10**6) -> ClosureResult:
+def equivalence_class(w: BandWord, size_cap: int = DEFAULT_WORD_CAP) -> ClosureResult:
     """The words of `closure_tree(w, size_cap)`, sorted; truncated if the cap fired."""
     tree = closure_tree(w, size_cap)
     words = tuple(unpack(w.n, word) for word in sorted(tree.parents))
@@ -193,7 +195,7 @@ def step_to_move(step: RelationStep) -> Move:
     return Move(step.position, 1 if step.rule in _FORWARD else -1)
 
 
-def hurwitz_path_positive(w1: BandWord, w2: BandWord, size_cap: int = 10**6) -> PathResult:
+def hurwitz_path_positive(w1: BandWord, w2: BandWord, size_cap: int = DEFAULT_WORD_CAP) -> PathResult:
     """Shortest relation path from w1 to w2, compiled to Hurwitz moves.
 
     Words of different lengths are never relation-equivalent (every rule

@@ -21,10 +21,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from . import perms
-from .perms import Perm
-
 Letter = tuple[int, int]
+Perm = tuple[int, ...]
 
 
 class WordError(ValueError):
@@ -143,11 +141,18 @@ def exponent_sum(w: BraidWord) -> int:
 
 
 def underlying_permutation(w: BraidWord) -> Perm:
-    """Image of the word in the symmetric group (0-based tuple)."""
-    p = perms.identity(w.n)
+    """Image of the word in the symmetric group (0-based tuple).
+
+    Every transposition is its own inverse, so swapping positions of q
+    letter by letter builds the inverse of the image, inverted at the end.
+    """
+    q = list(range(w.n))
     for index, _ in w.letters:
-        p = perms.compose(p, perms.transposition(w.n, index - 1))
-    return p
+        q[index - 1], q[index] = q[index], q[index - 1]
+    p = [0] * w.n
+    for i, v in enumerate(q):
+        p[v] = i
+    return tuple(p)
 
 
 def generator(n: int, i: int) -> BraidWord:

@@ -328,6 +328,11 @@ def test_orbit_builds_keys_only_when_it_prints_them(capsys, monkeypatch):
     code, out, _ = run(capsys, "orbit", "--size-cap", "500", std)
     assert (code, out.split()[:2]) == (2, ["visited=500", "truncated=True"])
     assert len(calls) <= 4
+    # Text output prints no keys, so --keys alone builds none either.
+    calls.clear()
+    code, text, _ = run(capsys, "orbit", "--size-cap", "500", "--keys", std)
+    assert (code, text) == (2, out)
+    assert len(calls) <= 4
     calls.clear()
     code, out, _ = run(capsys, "orbit", "--size-cap", "500", "--keys", "--format", "json", std)
     assert code == 2 and len(json.loads(out)["keys"]) == 500

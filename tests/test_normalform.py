@@ -1,12 +1,13 @@
 """Garside left-greedy normal form: the primary word-problem oracle."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidkit import normalform, perms
+from braidkit import normalform
 from braidkit.freegroup import words_act_equally
 from braidkit.normalform import (
     NormalForm,
@@ -24,6 +25,7 @@ from braidkit.words import (
     generator,
     inverse,
     parse_word,
+    underlying_permutation,
 )
 
 
@@ -45,7 +47,7 @@ def test_half_twist_absorbs_into_delta_power():
 def test_single_generator():
     nf = normal_form(parse_word("1", 3))
     assert nf.delta_power == 0
-    assert nf.factors == (perms.transposition(3, 0),)
+    assert nf.factors == ((1, 0, 2),)
     assert nf.delta_power == 0 and len(nf.factors) == 1
 
 
@@ -67,10 +69,8 @@ def test_factors_are_left_weighted():
     # sigma1 sigma1 cannot merge into one permutation braid.
     nf = normal_form(parse_word("1 1", 3))
     assert nf.delta_power == 0
-    assert nf.factors == (perms.transposition(3, 0), perms.transposition(3, 0))
-    for a, b in zip(nf.factors, nf.factors[1:]):
-        # Left-weighted: the finishing set of a contains the starting set of b.
-        assert perms.left_descents(b) <= perms.right_descents(a)
+    assert nf.factors == ((1, 0, 2), (1, 0, 2))
+    assert_normal(nf)
 
 
 def test_equal_on_relations():
@@ -103,6 +103,26 @@ def test_to_word_round_trips():
         )
         w = BraidWord(4, letters)
         assert equal(w, to_word(normal_form(w)))
+
+
+def smallest_start_letters(p):
+    """The reference spelling: strip the smallest start of p until none is left."""
+    q, letters = list(p), []
+    while starts(q):
+        i = min(starts(q))
+        q[i], q[i + 1] = q[i + 1], q[i]
+        letters.append((i + 1, 1))
+    return letters
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_to_word_spells_every_permutation_braid(n):
+    for p in itertools.permutations(range(n)):
+        w = to_word(NormalForm(n, 0, (p,)))
+        assert list(w.letters) == smallest_start_letters(p)
+        # A permutation braid crosses each inverted pair of strands once.
+        assert underlying_permutation(w) == p
+        assert len(w) == sum(a > b for a, b in itertools.combinations(p, 2))
 
 
 def test_delta_conjugation_flips_generators():
@@ -152,12 +172,25 @@ def braid_words(draw):
     return BraidWord(n, tuple(draw(letters_on(n))))
 
 
+def inverted(p):
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return out
+
+
+def starts(p):
+    """The starting set of a permutation braid: the letters it can begin with."""
+    return {i for i in range(len(p) - 1) if p[i] > p[i + 1]}
+
+
 def assert_normal(nf):
-    identity, w0 = perms.identity(nf.n), perms.longest(nf.n)
+    identity, w0 = tuple(range(nf.n)), tuple(range(nf.n - 1, -1, -1))
     for f in nf.factors:
         assert f not in (identity, w0)
     for a, b in zip(nf.factors, nf.factors[1:]):
-        assert perms.left_descents(b) <= perms.right_descents(a)
+        # Left weighted: the finishing set of a contains the starting set of b.
+        assert starts(b) <= starts(inverted(a))
 
 
 @settings(max_examples=300, deadline=None)
@@ -231,15 +264,18 @@ def one_factor_per_letter(w):
     an odd number of negative letters to its right is read at n - i.
     """
     n = w.n
-    w0 = perms.longest(n)
+    w0 = tuple(range(n - 1, -1, -1))
     right = sum(sign < 0 for _, sign in w.letters)
     power = -right
     pairs = []
     for index, sign in w.letters:
         right -= sign < 0
-        t = perms.transposition(n, n - index - 1 if right % 2 else index - 1)
-        f = t if sign > 0 else perms.compose(w0, t)
-        pairs.append((list(f), list(perms.inverse(f))))
+        i = n - index - 1 if right % 2 else index - 1
+        # Both the identity and w0 are their own inverses; exchanging
+        # values i, i+1 of a factor swaps positions i, i+1 of its inverse.
+        fi = list(w0 if sign < 0 else range(n))
+        fi[i], fi[i + 1] = fi[i + 1], fi[i]
+        pairs.append((inverted(fi), fi))
     factors = _left_weighted(pairs, n)
     while factors and factors[0] == w0:
         factors.pop(0)

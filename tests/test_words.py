@@ -110,6 +110,22 @@ def test_underlying_permutation():
     assert underlying_permutation(parse_word("1 -1", 3)) == (0, 1, 2)
     # The half twist reverses the strand order.
     assert underlying_permutation(delta_word(4)) == (3, 2, 1, 0)
+    # The left letter acts first: 0 -> 1 under sigma_1, then 1 -> 2 under sigma_2.
+    assert underlying_permutation(parse_word("1 2", 3)) == (2, 0, 1)
+
+
+def test_underlying_permutation_is_the_product_of_transpositions():
+    rng = random.Random(23)
+    for n in range(2, 10):
+        for _ in range(40):
+            w = BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((1, -1)))
+                                   for _ in range(rng.randint(0, 30))))
+            p = tuple(range(n))
+            for index, _ in w.letters:
+                t = list(range(n))
+                t[index - 1], t[index] = index, index - 1
+                p = tuple(t[v] for v in p)  # p first, then t
+            assert underlying_permutation(w) == p
 
 
 def test_delta_word_letters():
