@@ -6,10 +6,14 @@ strands crosses at most once, so the factor is described by its
 permutation alone), no factor is trivial or the full twist w0, and the
 sequence is left weighted: the finishing set of f_k contains the
 starting set of f_{k+1}.  That data is unique, so braids are compared by
-comparing it.  `equal` first compares exponent sums, the image of a word
-under the abelianization sigma_i -> 1: words whose sums differ are
-different braids, which one pass over the letters shows, and only pairs
-whose sums agree reach the normal form.
+comparing it.  `equal` first compares the image of each word in
+B_n/[P_n, P_n]: its permutation and, for each pair of strands, the
+signed count of their crossings (twice the pairwise linking number
+for a pure braid; Artin, 1947).  Every braid relation and free
+cancellation leaves that data unchanged, and the counts add up to the
+exponent sum, so words whose data differ are different braids, which
+one pass over the letters shows, and only pairs whose data agree reach
+the normal form.
 
 One forward pass cuts the word into maximal simple chunks of one sign.
 A positive chunk is one factor; a negative chunk borrows one Delta^-1
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import BraidWord, Perm, delta_word, exponent_sum
+from .words import BraidWord, Perm, delta_word
 
 
 @dataclass(frozen=True)
@@ -171,13 +175,31 @@ def _cached_key(w: BraidWord) -> str:
     return normal_form_key(normal_form(w))
 
 
+def _crossings(w: BraidWord) -> tuple[list[int], list[int]]:
+    """Strand labels by final position, and each strand pair's crossings.
+
+    Letter sigma_i^s swaps the labels a and b at positions i - 1 and i
+    and adds s to the count of the pair {a, b}, kept at index
+    min * n + max of a flat list, so two results compare entry by entry.
+    """
+    n = w.n
+    labels = list(range(n))
+    counts = [0] * (n * n)
+    for index, s in w.letters:
+        a, b = labels[index - 1], labels[index]
+        labels[index - 1], labels[index] = b, a
+        counts[a * n + b if a < b else b * n + a] += s
+    return labels, counts
+
+
 def equal(u: BraidWord, v: BraidWord) -> bool:
     """Decide equality in the braid group.
 
-    Different strand counts or exponent sums decide "not equal" at once;
-    only words that agree on both are compared by their normal forms.
+    Different strand counts, permutations or strand-pair crossing counts
+    (the image in B_n/[P_n, P_n]) decide "not equal" at once; only words
+    that agree on all three are compared by their normal forms.
     """
-    if u.n != v.n or exponent_sum(u) != exponent_sum(v):
+    if u.n != v.n or _crossings(u) != _crossings(v):
         return False
     return _cached_key(u) == _cached_key(v)
 

@@ -11,6 +11,7 @@ from braidkit import normalform
 from braidkit.freegroup import words_act_equally
 from braidkit.normalform import (
     NormalForm,
+    _crossings,
     _left_weighted,
     canonical_key,
     equal,
@@ -22,6 +23,7 @@ from braidkit.words import (
     compose,
     conjugate,
     delta_word,
+    free_reduce,
     generator,
     inverse,
     parse_word,
@@ -140,8 +142,9 @@ def test_agrees_with_the_action_oracle_on_random_pairs():
             (rng.randint(1, 2), rng.choice((1, -1))) for _ in range(rng.randint(0, 7))
         )
         words.append(BraidWord(3, letters))
-    # Most of these pairs differ in exponent sum, which decides `equal`
-    # before any normal form; the keys keep the normal form under test.
+    # Most of these pairs differ in permutation or strand-pair crossing
+    # counts (the image in B_n/[P_n, P_n]), which decides `equal` before
+    # any normal form; the keys keep the normal form under test.
     for u in words[:30]:
         for v in words[30:]:
             assert (canonical_key(u) == canonical_key(v)) == words_act_equally(u, v) == equal(u, v)
@@ -246,6 +249,93 @@ def test_equal_skips_the_normal_form_when_exponent_sums_differ(monkeypatch):
     assert len(calls) == 0
     assert equal(parse_word("1 2 1", 3), parse_word("2 1 2", 3))
     assert len(calls) == 2
+
+
+def test_equal_skips_the_normal_form_when_crossing_counts_differ(monkeypatch):
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return real(w)
+
+    real = normalform.normal_form
+    normalform._cached_key.cache_clear()
+    monkeypatch.setattr(normalform, "normal_form", counted)
+    # A pure commutator: exponent sum 0 and trivial permutation, but
+    # strands 1, 3 cross twice more and strands 2, 3 twice less.
+    assert not equal(parse_word("1 2 2 -1 -2 -2", 3), BraidWord(3))
+    assert len(calls) == 0
+    assert equal(parse_word("1 2 1", 3), parse_word("2 1 2", 3))
+    assert len(calls) == 2
+
+
+def test_crossings_of_a_pure_commutator():
+    labels, counts = _crossings(parse_word("1 2 2 -1 -2 -2", 3))
+    assert labels == [0, 1, 2]
+    assert {(a, b): counts[a * 3 + b] for a, b in itertools.combinations(range(3), 2)} == {
+        (0, 1): 0, (0, 2): 2, (1, 2): -2,
+    }
+
+
+def by_position(w):
+    """A wrong invariant kept to show the tests can fail: crossings by position."""
+    counts = [0] * w.n
+    for index, s in w.letters:
+        counts[index - 1] += s
+    return underlying_permutation(w), counts
+
+
+def test_crossings_follow_strands_not_positions():
+    # Each of the three strand pairs crosses once on either side of the
+    # braid relation, but positions 1 and 2 see two and one crossings.
+    u, v = parse_word("1 2 1", 3), parse_word("2 1 2", 3)
+    assert _crossings(u) == _crossings(v)
+    assert by_position(u) != by_position(v)
+
+
+def relators(n):
+    """Words equal to the identity: braid relations, far commutations, free pairs."""
+    out = []
+    for i in range(1, n):
+        for e in (1, -1):
+            out.append([(i, e), (i, -e)])
+            if i + 1 < n:
+                out.append([(i, e), (i + 1, e), (i, e), (i + 1, -e), (i, -e), (i + 1, -e)])
+            for j in range(i + 2, n):
+                out.append([(i, e), (j, 1), (i, -e), (j, -1)])
+    return out
+
+
+@st.composite
+def disguised_pairs(draw):
+    """A word and the same braid with relators inserted, maybe freely reduced."""
+    n = draw(st.integers(2, 8))
+    u = tuple(draw(letters_on(n)))
+    letters = list(u)
+    for _ in range(draw(st.integers(1, 6))):
+        r = draw(st.sampled_from(relators(n)))
+        # A cyclic rotation of a relator is a conjugate of it, also trivial.
+        k = draw(st.integers(0, len(r) - 1))
+        at = draw(st.integers(0, len(letters)))
+        letters[at:at] = r[k:] + r[:k]
+    if draw(st.booleans()):
+        letters = free_reduce(BraidWord(n, tuple(letters))).letters
+    return BraidWord(n, u), BraidWord(n, tuple(letters))
+
+
+@settings(max_examples=300, deadline=None)
+@given(disguised_pairs())
+def test_relations_and_free_cancellation_keep_the_crossings(pair):
+    u, v = pair
+    assert _crossings(u) == _crossings(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(word_pairs(), disguised_pairs()))
+def test_equal_keys_have_equal_crossings(pair):
+    u, v = pair
+    if u.n == v.n and canonical_key(u) == canonical_key(v):
+        assert _crossings(u) == _crossings(v)
 
 
 def test_long_word_normal_form_completes():
