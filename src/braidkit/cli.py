@@ -19,10 +19,10 @@ call picks its handler by command name at call time (`cmd_` plus the
 name with ``-`` as ``_``), so a handler replaced later still runs.
 A handler returns (exit code, payload, text) and prints nothing; `main`
 prints the result once, as JSON or as the text.  The handlers build
-every JSON payload from the fields of the results they get, so the JSON
-contract (key names, nulls, moves as signed integers) is written here
-and nowhere else; `verify` passes on the suite reports `run_suite`
-returns.
+every JSON payload from the fields of the results they get (key names,
+nulls, moves as signed integers), except `verify`: it passes on the
+suite reports `run_suite` returns, whose keys (`chainTriples`,
+`depthCap`, `pathLength`, ...) `verify._report` and the suites write.
 """
 
 from __future__ import annotations

@@ -40,9 +40,7 @@ and a mismatch raises `ReplayError`.
 
 Orbits of full-twist factorizations are infinite from 3 strands on, so
 orbit and path search hold at most `DEFAULT_SIZE_CAP` (50,000) states
-unless the caller gives a size cap; at 3 strands `braidkit orbit` holds
-that many in about 0.8 s and 35 MB (1.2 s and 130 MB with `--keys
---format json`).
+unless the caller gives a size cap.
 
 Serialized moves are signed integers: k stands for R_k and -k for
 R_k^-1.
@@ -126,7 +124,7 @@ def _move_pair(x, y, direction: int, conjugate) -> tuple:
 
     That is (x y x^-1, x) forward and (y, y^-1 x y) backward, with
     conjugate(h, m, sign) giving h^sign m h^-sign in whatever stands for
-    a factor: words in `apply_move`, ids in a search's move table.
+    a factor: words in `apply_sequence`, ids in a search's move table.
     """
     if direction == 1:
         return conjugate(x, y, 1), x
@@ -142,28 +140,18 @@ def _conjugate_word(h: BraidWord, m: BraidWord, sign: int) -> BraidWord:
     return _unchecked(BraidWord, n=h.n, letters=_reduce(head + m.letters + tail))
 
 
-def _move_in_place(factors: list, m: Move) -> None:
-    if m.k > len(factors) - 1:
-        raise MoveError(
-            f"move {m} out of range for a factorization of length {len(factors)}"
-        )
-    i = m.k - 1
-    factors[i : i + 2] = _move_pair(factors[i], factors[i + 1], m.direction, _conjugate_word)
-
-
 def apply_move(f: Factorization, m: Move) -> Factorization:
-    factors = list(f.factors)
-    _move_in_place(factors, m)
-    return _unchecked(Factorization, n=f.n, factors=tuple(factors))
+    return apply_sequence(f, (m,))
 
 
 def apply_sequence(f: Factorization, moves) -> Factorization:
     factors = list(f.factors)
     for idx, m in enumerate(moves):
-        try:
-            _move_in_place(factors, m)
-        except MoveError as exc:
-            raise MoveError(f"move {idx + 1} of the sequence: {exc}") from None
+        if m.k > len(factors) - 1:
+            raise MoveError(f"move {idx + 1} of the sequence: move {m} out of range "
+                            f"for a factorization of length {len(factors)}")
+        i = m.k - 1
+        factors[i : i + 2] = _move_pair(factors[i], factors[i + 1], m.direction, _conjugate_word)
     return _unchecked(Factorization, n=f.n, factors=tuple(factors))
 
 

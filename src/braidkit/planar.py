@@ -411,14 +411,22 @@ def _ends(value) -> tuple[str, str]:
     return _text(value[0], "edge end"), _text(value[1], "edge end")
 
 
+def _array(value, what: str) -> list:
+    # An empty object or string would iterate as no items at all.
+    if not isinstance(value, list):
+        raise MapError(f"{what} must be a JSON array, got {value!r}")
+    return value
+
+
 def map_from_json(data: dict) -> CombMap:
     """The map of a JSON object; `trace_faces` validates its structure."""
     try:
         vertices = tuple(Vertex(_text(v["id"], "vertex id"), _text(v["kind"], "vertex kind"))
-                         for v in data["vertices"])
-        edges = tuple(Edge(_text(e["id"], "edge id"), _ends(e["ends"])) for e in data["edges"])
+                         for v in _array(data["vertices"], "vertices"))
+        edges = tuple(Edge(_text(e["id"], "edge id"), _ends(e["ends"]))
+                      for e in _array(data["edges"], "edges"))
         rotations = {
-            v: tuple(_text(d, "rotation dart") for d in ring)
+            v: tuple(_text(d, "rotation dart") for d in _array(ring, "rotation ring"))
             for v, ring in data.get("rotations", {}).items()
         }
         mode = data.get("mode", "free")

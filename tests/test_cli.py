@@ -1,9 +1,13 @@
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import braidkit
 from braidkit import cli, hurwitz, verify
 from braidkit.cli import main
 from braidkit.planar import map_to_json
@@ -11,6 +15,8 @@ from braidkit.verify import SUITE_NAMES
 
 FACT = json.dumps({"strands": 3, "factors": ["1", "2"]})
 FACT_MOVED = json.dumps({"strands": 3, "factors": ["1 2 -1", "1"]})
+STD3 = json.dumps({"strands": 3, "factors": ["1", "2"] * 3})
+SRC = os.path.dirname(os.path.dirname(braidkit.__file__))
 
 
 def run(capsys, *argv):
@@ -150,6 +156,41 @@ def test_orbit_json_deterministic(capsys):
     assert payload["visited"] == 3
     assert len(payload["keys"]) == 3
     assert payload["depthCap"] is None
+
+
+def run_process(*argv):
+    """Exit code and stdout of `braidkit` in a new interpreter, killed after 120 s."""
+    proc = subprocess.run([sys.executable, "-m", "braidkit.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    return proc.returncode, proc.stdout
+
+
+# The standard 3-strand factorization of the full twist has an infinite
+# orbit, so with no cap flags the searches must stop at a default cap and
+# exit 2 (inconclusive).  Each runs in its own process, so the exit code is
+# the process's own and the timeout bounds a hang.
+@pytest.mark.parametrize("argv, first_line", [
+    # The text line holds only counts, which need no keys built.
+    (("orbit", STD3), "visited=50000 truncated=True depths=1,"),
+    (("hurwitz-path", STD3,
+      json.dumps({"strands": 3, "factors": ["1 1 1", "-1 -1", "2", "1", "2", "1 2"]})),
+     "not found (caps exhausted)"),
+    (("verify", "twist-closure", "--strands", "4"), "INCONCLUSIVE twist-closure (strands=4,"),
+], ids=["orbit", "hurwitz-path", "verify-twist-closure-4"])
+def test_default_caps_stop_unbounded_searches(argv, first_line):
+    code, out = run_process(*argv)
+    assert code == 2
+    assert out.startswith(first_line)
+
+
+def test_default_capped_orbit_prints_one_key_per_state():
+    # A coordinate key that split one braid into two ids would repeat a key.
+    code, out = run_process("orbit", "--format", "json", "--keys", STD3)
+    assert code == 2
+    payload = json.loads(out)
+    keys = payload["keys"]
+    assert (payload["visited"], len(keys), len(set(keys))) == (50_000,) * 3
+    assert all(k.count(";") == 5 for k in keys)
 
 
 def test_rewrite_class(capsys):
@@ -395,6 +436,9 @@ ONE_EDGE = {"vertices": [{"id": "a", "kind": "puncture"}, {"id": "b", "kind": "p
     ("orbit", '{"strands": 0, "factors": []}'),
     ("hurwitz-path", '{"strands": 1, "factors": []}', '{"strands": 1, "factors": []}'),
     ("hurwitz-apply", '{"strands": 1, "factors": []}', "[]"),
+    ("semiframe", '{"vertices": {}, "edges": {}}'),
+    ("semiframe", '{"vertices": [], "edges": ""}'),
+    ("semiframe", json.dumps(dict(ONE_PUNCTURE, rotations={"p1": ""}, mode="free"))),
 ])
 def test_malformed_json_values_are_input_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

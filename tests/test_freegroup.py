@@ -5,6 +5,8 @@ free-group images in `freegroup_reference` are exponential in the word
 length and serve as a check on short words.
 """
 
+import random
+
 import pytest
 from freegroup_reference import free_word_inverse, generator_images
 from hypothesis import given, settings
@@ -129,3 +131,31 @@ def test_coordinates_agree_with_the_normal_form(pair):
     assert verdict == equal(u, v) == same_key == (kind == "equal")
     if len(u) <= 10:
         assert verdict == (generator_images(u) == generator_images(v))
+
+
+def test_long_words_through_both_routes():
+    # A route exponential in the word length could not finish these
+    # 2,000-letter pairs.  `equal` decides the pure and the flipped pair
+    # from strand-pair crossing counts alone, so the canonical keys are
+    # compared too, keeping normal forms in the run.
+    rng = random.Random(2002)
+    n, length = 8, 2000
+    u = [(rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(length)]
+    # Equal: braid relators s_i s_{i+1} s_i (s_{i+1} s_i s_{i+1})^-1 inserted.
+    v = list(u)
+    for _ in range(20):
+        i, at = rng.randint(1, n - 2), rng.randint(0, len(v))
+        v[at:at] = [(i, 1), (i + 1, 1), (i, 1), (i + 1, -1), (i, -1), (i + 1, -1)]
+    # Unequal: the nontrivial pure braid s_3 s_4^2 s_3^-1 s_4^-2 inserted.
+    w = list(u)
+    at = rng.randint(0, length)
+    w[at:at] = [(3, 1), (4, 1), (4, 1), (3, -1), (4, -1), (4, -1)]
+    # Unequal: one letter flipped, so the exponent sums differ by 2.
+    x = list(u)
+    at = rng.randrange(length)
+    x[at] = (x[at][0], -x[at][1])
+    a = BraidWord(n, tuple(u))
+    for other, expected in ((v, True), (w, False), (x, False)):
+        b = BraidWord(n, tuple(other))
+        verdicts = (words_act_equally(a, b), equal(a, b), canonical_key(a) == canonical_key(b))
+        assert verdicts == (expected,) * 3, len(other)

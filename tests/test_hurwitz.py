@@ -143,7 +143,7 @@ def test_chain_relation_realized_by_one_move():
 
 def test_apply_move_position_out_of_range():
     f = fact(3, "1", "2")
-    with pytest.raises(MoveError):
+    with pytest.raises(MoveError, match="move 1 of the sequence: move R2 out of range"):
         apply_move(f, Move(2, 1))
 
 

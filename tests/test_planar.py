@@ -313,6 +313,12 @@ def test_json_malformed():
         map_from_json({"vertices": "nope"})
     with pytest.raises(MapError):
         map_from_json({})
+    # Each of these iterates as no items, so only a type check rejects it.
+    for data in ({"vertices": {}, "edges": []}, {"vertices": [], "edges": ""},
+                 {"vertices": [{"id": "p1", "kind": "puncture"}], "edges": [],
+                  "rotations": {"p1": ""}}):
+        with pytest.raises(MapError, match="must be a JSON array"):
+            map_from_json(data)
 
 
 @pytest.mark.parametrize("path", [

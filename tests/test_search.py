@@ -157,8 +157,12 @@ def expect_replay_error(name, call):
         print(name, "returned")
 
 
+# `apply_move` runs through `apply_sequence`, so the real one goes back
+# before the suite below replays its steps.
+real_apply_sequence = hurwitz.apply_sequence
 hurwitz.apply_sequence = lambda f, moves: f
 expect_replay_error("find_path", lambda: hurwitz.find_path(f1, f2))
+hurwitz.apply_sequence = real_apply_sequence
 rewriting.apply_sequence = lambda f, moves: f
 expect_replay_error("hurwitz_path_positive", lambda: rewriting.hurwitz_path_positive(w1, w2))
 verify.step_to_move = lambda step, real=verify.step_to_move: real(step).inverted()
