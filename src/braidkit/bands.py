@@ -159,54 +159,6 @@ def chain_forms(n: int, t: int, s: int, r: int) -> dict[str, tuple[BandGenerator
     }
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    n: int
-    chain_triples: int
-    chain_equalities: int
-    commuting_pairs: int
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def band_relations_hold(n: int) -> RelationReport:
-    """Check every chain-relation and commuting-relation instance on n strands.
-
-    Both equalities of each chain triple and one equality per commuting
-    pair are verified on expansions with the normal-form oracle.  On two
-    strands there is neither, and the report holds no checks.
-    """
-    failures: list[str] = []
-    triples = 0
-    equalities = 0
-    for t in range(3, n + 1):
-        for s in range(2, t):
-            for r in range(1, s):
-                triples += 1
-                forms = {
-                    form: compose(expand(x), expand(y))
-                    for form, (x, y) in chain_forms(n, t, s, r).items()
-                }
-                for lhs, rhs in (("A", "B"), ("B", "C")):
-                    equalities += 1
-                    if not equal(forms[lhs], forms[rhs]):
-                        failures.append(f"chain {t},{s},{r}: {lhs} != {rhs}")
-    gens = all_generators(n)
-    commuting = 0
-    for i, x in enumerate(gens):
-        for y in gens[i + 1 :]:
-            if classify_pair(x, y) is not PairClass.COMMUTING:
-                continue
-            commuting += 1
-            xw, yw = expand(x), expand(y)
-            if not equal(compose(xw, yw), compose(yw, xw)):
-                failures.append(f"commuting {x} {y}: products differ")
-    return RelationReport(n, triples, equalities, commuting, tuple(failures))
-
-
 def delta_squared_word(n: int) -> BraidWord:
     """The full twist as the literal word (sigma_1 ... sigma_{n-1})^n."""
     block = tuple((i, 1) for i in range(1, n))

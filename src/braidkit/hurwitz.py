@@ -55,7 +55,7 @@ from functools import cached_property
 from .bands import Factorization
 from .freegroup import act
 from .normalform import canonical_key
-from .words import BraidWord, _reduce
+from .words import BraidWord, _inverse, _reduce
 
 
 DEFAULT_SIZE_CAP = 50_000
@@ -101,22 +101,6 @@ def _unchecked(cls, **fields):
     for name, value in fields.items():
         object.__setattr__(out, name, value)
     return out
-
-
-class _Flipped(dict):
-    """Each letter (i, s) to (i, -s), made once, so inverses share their letters."""
-
-    def __missing__(self, letter):
-        self[letter] = flipped = (letter[0], -letter[1])
-        return flipped
-
-
-_FLIPPED = _Flipped()
-
-
-def _inverse(letters: tuple) -> tuple:
-    """The letters of a word's inverse: reversed, signs flipped."""
-    return tuple(map(_FLIPPED.__getitem__, reversed(letters)))
 
 
 def _move_pair(x, y, direction: int, conjugate) -> tuple:

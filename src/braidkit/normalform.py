@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import BraidWord, Perm, delta_word
+from .words import BraidWord, Perm, _inverse, delta_word
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,7 @@ def to_word(nf: NormalForm) -> BraidWord:
     if nf.delta_power:
         half = delta_word(nf.n).letters
         if nf.delta_power < 0:
-            half = tuple((i, -s) for i, s in reversed(half))
+            half = _inverse(half)
         letters.extend(half * abs(nf.delta_power))
     for f in nf.factors:
         letters.extend(_factor_word(f))

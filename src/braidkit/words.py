@@ -101,6 +101,22 @@ def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     return tuple(out)
 
 
+class _Flipped(dict):
+    """Each letter (i, s) to (i, -s), made once, so inverses share their letters."""
+
+    def __missing__(self, letter):
+        self[letter] = flipped = (letter[0], -letter[1])
+        return flipped
+
+
+_FLIPPED = _Flipped()
+
+
+def _inverse(letters: tuple) -> tuple:
+    """The letters of a word's inverse: reversed, signs flipped."""
+    return tuple(map(_FLIPPED.__getitem__, reversed(letters)))
+
+
 def free_reduce(w: BraidWord) -> BraidWord:
     return BraidWord(w.n, _reduce(w.letters))
 
@@ -122,9 +138,7 @@ def compose_all(n: int, words: Iterable[BraidWord]) -> BraidWord:
 
 def inverse(u: BraidWord) -> BraidWord:
     """Reverse the word and flip signs; the result is freely reduced."""
-    return BraidWord(
-        u.n, _reduce(tuple((i, -s) for i, s in reversed(u.letters)))
-    )
+    return BraidWord(u.n, _reduce(_inverse(u.letters)))
 
 
 def conjugate(x: BraidWord, g: BraidWord) -> BraidWord:

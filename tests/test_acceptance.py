@@ -18,7 +18,6 @@ from braidkit.bands import (
     Factorization,
     all_generators,
     band_factorization,
-    band_relations_hold,
     conjugated_factorization,
     delta_squared_word,
     expand_word,
@@ -38,7 +37,7 @@ from braidkit.planar import (
     trace_faces,
 )
 from braidkit.rewriting import equivalence_class, hurwitz_path_positive, neighbors
-from braidkit.verify import suite_centrality
+from braidkit.verify import suite_centrality, suite_relations
 from braidkit.words import BraidWord, exponent_sum, parse_word
 
 
@@ -171,11 +170,11 @@ def test_criterion_01_relation_catalog():
     expected = {3: (1, 0), 4: (4, 2), 5: (10, 10), 6: (20, 30)}
     started = time.monotonic()
     for n, (triples, commuting) in expected.items():
-        report = band_relations_hold(n)
-        assert report.ok, report.failures
-        assert report.chain_triples == triples
-        assert report.chain_equalities == 2 * triples
-        assert report.commuting_pairs == commuting
+        report = suite_relations(n)
+        assert report["ok"], report["failures"]
+        assert report["chainTriples"] == triples
+        assert report["commutingPairs"] == commuting
+        assert report["checks"] == 2 * triples + commuting
     assert time.monotonic() - started < 10.0
 
 

@@ -8,7 +8,6 @@ from braidkit.bands import (
     PairClass,
     all_generators,
     band_factorization,
-    band_relations_hold,
     classify_pair,
     conjugated_factorization,
     delta_squared_word,
@@ -120,20 +119,6 @@ def test_nested_pairs_commute():
     # One band strictly inside the other.
     assert classify_pair(g(5, 5, 1), g(5, 3, 2)) is PairClass.COMMUTING
     assert classify_pair(g(5, 3, 2), g(5, 5, 1)) is PairClass.COMMUTING
-
-
-def test_relation_counts():
-    rep = band_relations_hold(3)
-    assert (rep.chain_triples, rep.commuting_pairs) == (1, 0)
-    rep = band_relations_hold(4)
-    assert (rep.chain_triples, rep.commuting_pairs) == (4, 2)
-    assert rep.ok
-
-
-def test_relations_hold_up_to_five_strands():
-    for n in (3, 4, 5):
-        rep = band_relations_hold(n)
-        assert rep.ok, rep.failures
 
 
 def test_chain_relation_on_expansions_directly():

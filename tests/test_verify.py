@@ -46,6 +46,24 @@ def test_a_conclusive_miss_beside_a_capped_search_is_a_failure(monkeypatch):
     assert len(rep["failures"]) == 2
 
 
+def test_failed_relations_are_named_chain_triples_first(monkeypatch):
+    monkeypatch.setattr(verify, "equal", lambda u, v: False)
+    rep = verify.suite_relations(4)
+    assert (rep["ok"], rep["checks"]) == (False, 10)
+    assert rep["failures"] == [
+        f"chain {triple}: {pair}"
+        for triple in ("3,2,1", "4,2,1", "4,3,1", "4,3,2")
+        for pair in ("A != B", "B != C")
+    ] + ["commuting 2:1 4:3: products differ", "commuting 3:2 4:1: products differ"]
+
+
+def test_failed_chain_triples_come_in_ascending_order(monkeypatch):
+    monkeypatch.setattr(verify, "equal", lambda u, v: False)
+    failures = verify.suite_relations(5)["failures"]
+    named = [msg.split()[1].rstrip(":") for msg in failures[:20:2]]
+    assert named == [f"{t},{s},{r}" for t in range(3, 6) for s in range(2, t) for r in range(1, s)]
+
+
 def test_a_wrong_rewrite_fails_its_rule_once_and_skips_the_move_check(monkeypatch):
     monkeypatch.setattr(verify, "apply_step", lambda w, step: BandWord(w.n, w.letters[::-1]))
     rep = verify.suite_chain_rules(4)
