@@ -3,7 +3,7 @@
 A braid word is rewritten as Delta^d f_1 ... f_m where Delta is the
 half twist, each factor f_k is a permutation braid (every pair of
 strands crosses at most once, so the factor is described by its
-permutation alone), no factor is trivial or the full twist w0, and the
+permutation alone), no factor is trivial or the half twist w0, and the
 sequence is left weighted: the finishing set of f_k contains the
 starting set of f_{k+1}.  That data is unique, so braids are compared by
 comparing it.  `equal` first compares the image of each word in
@@ -13,16 +13,23 @@ for a pure braid; Artin, 1947).  Every braid relation and free
 cancellation leaves that data unchanged, and the counts add up to the
 exponent sum, so words whose data differ are different braids, which
 one pass over the letters shows, and only pairs whose data agree reach
-the normal form.
+the normal form.  `equal` compares their `NormalForm` values, with no
+key strings.
 
 One forward pass cuts the word into maximal simple chunks of one sign.
 A positive chunk is one factor; a negative chunk borrows one Delta^-1
-that floats to the front and mirrors every chunk it passes.  The
-factors are then multiplied in one at a time, in Thurston's incremental
-way (Epstein et al., *Word Processing in Groups*, 1992, ch. 9): after
-each factor the sequence is made left weighted again by a walk leftward
-from the new pair that stops at the first pair left unchanged, so the
-cost follows the letters that move, not a sweep over the whole sequence.
+that goes to the right end and mirrors (sigma_i to sigma_{n-i}) every
+later chunk.  The factors are multiplied in one at a time, in
+Thurston's incremental way (Epstein et al., *Word Processing in Groups*,
+1992, ch. 9): after each factor the sequence is made left weighted
+again by a walk leftward from the new pair that stops at the first pair
+left unchanged.  A factor that grows into Delta is taken out of the
+walk at once and counted, and the walk stops there.  The mirroring
+that each such Delta owes the factors before it, and the borrowed ones
+owe all factors, is applied lazily, when a later walk reaches a factor
+or at the end.  So no Delta crosses the sequence letter by letter, and
+the cost grows about linearly with the word's length, not
+quadratically.
 
 A permutation is a tuple (or, while it is built, a list) p of 0-based
 images, p[i] being the image of position i, and a product applies its
@@ -80,34 +87,87 @@ def _transfer(a: list[int], ai: list[int], b: list[int], bi: list[int]) -> bool:
     return moved
 
 
-def _left_weighted(factors: list[tuple[list[int], list[int]]], n: int) -> list[Perm]:
-    """The left-weighted factor sequence of a product of simple factors.
+def _left_weighted(chunks: list[tuple[int, list[int], list[int]]], n: int) -> tuple[int, list[Perm]]:
+    """The Delta power and left-weighted factors of a word cut into chunks.
 
     Thurston's incremental right multiplication (Epstein et al., *Word
     Processing in Groups*, 1992, ch. 9; El-Rifai and Morton, "Algorithms
-    for positive braids", Quart. J. Math. 45, 1994): the factors, each a
-    (permutation, inverse) pair of lists that is changed in place, are
-    appended one at a time to a sequence that is already left weighted.
-    After an append only the new pair can be out of order; making it left
-    weighted grows its left factor, which can unsettle the pair before
-    it, so the walk goes leftward and stops at the first pair that was
-    left weighted as it stood.  The pairs it leaves behind stay left
-    weighted, so identity factors can only collect at the right end,
-    where they are dropped.
+    for positive braids", Quart. J. Math. 45, 1994): the chunks of
+    `_chunks`, each turned into a simple factor held as a (permutation,
+    inverse) pair of lists that is changed in place, are appended one at
+    a time to a sequence that is already left weighted.  After an append
+    only the new pair can be out of order; making it left weighted grows
+    its left factor, which can unsettle the pair before it, so the walk
+    goes leftward and stops at the first pair that was left weighted as
+    it stood.  The pairs it leaves behind stay left weighted, so identity
+    factors can only collect at the right end, where they are dropped.
+
+    A negative chunk r^-1 borrows one inverse half twist,
+    r^-1 = (r^-1 Delta) Delta^-1, and appends the permutation braid
+    r^-1 w0 (its q with values read from the other end, with inverse r
+    read backwards).  Since f Delta = Delta tau(f), where tau takes
+    sigma_i to sigma_{n-i}, the borrowed Delta^-1 is moved to the right
+    end by reading every later chunk through tau, and at the end to the
+    front by reading every factor through tau.  A positive chunk that is
+    w0, or a left factor that a walk grows into w0, is counted as one
+    Delta and taken out, and every factor to its left is read through
+    tau.  The junction pair this leaves is the one the walk would have
+    left after carrying that Delta to the front one factor at a time, so
+    the walk stops there.  tau is applied lazily: each factor keeps the
+    parity of the Delta count at which it was last read and is mirrored
+    only when a walk next reaches it, or at the end, so no Delta costs a
+    sweep of the factors.
     """
+    m = n - 1
     identity = list(range(n))
+    w0 = identity[::-1]
+    power = borrowed = 0
     facs: list[list[int]] = []
     invs: list[list[int]] = []
-    for p, pi in factors:
+    marks: list[int] = []
+    for s, p, pi in chunks:
+        if s < 0:
+            if borrowed & 1:
+                # tau(r^-1 w0) = w0 r^-1: q read backwards, inverse r w0.
+                p, pi = p[::-1], [m - v for v in pi]
+            else:
+                p, pi = [m - v for v in p], pi[::-1]
+            borrowed += 1
+        elif p == w0:
+            power += 1
+            continue
+        elif borrowed & 1:
+            p, pi = [m - v for v in reversed(p)], [m - v for v in reversed(pi)]
         facs.append(p)
         invs.append(pi)
+        odd = power & 1
+        marks.append(odd)
         k = len(facs) - 1
-        while k and _transfer(facs[k - 1], invs[k - 1], facs[k], invs[k]):
-            k -= 1
+        while k:
+            j = k - 1
+            if marks[j] != odd:
+                facs[j] = [m - v for v in reversed(facs[j])]
+                invs[j] = [m - v for v in reversed(invs[j])]
+                marks[j] = odd
+            if not _transfer(facs[j], invs[j], facs[k], invs[k]):
+                break
+            if facs[j] == w0:
+                del facs[j], invs[j], marks[j]
+                power += 1
+                # The factors the walk has passed are not mirrored.
+                marks[j:] = [power & 1] * (len(marks) - j)
+                break
+            k = j
         while facs and facs[-1] == identity:
             facs.pop()
             invs.pop()
-    return [tuple(f) for f in facs]
+            marks.pop()
+    power -= borrowed
+    odd = power & 1
+    return power, [
+        tuple(f) if mark == odd else tuple(m - v for v in reversed(f))
+        for f, mark in zip(facs, marks)
+    ]
 
 
 def _chunks(w: BraidWord) -> list[tuple[int, list[int], list[int]]]:
@@ -135,38 +195,20 @@ def _chunks(w: BraidWord) -> list[tuple[int, list[int], list[int]]]:
 
 
 def normal_form(w: BraidWord) -> NormalForm:
-    n, m = w.n, w.n - 1
-    chunks = _chunks(w)
-    # A negative chunk r^-1 borrows one inverse half twist:
-    # r^-1 = Delta^-1 (Delta r^-1), and the bracketed braid is the
-    # permutation braid w0 r^-1, the chunk's q read backwards, with
-    # inverse r w0.  Every borrowed Delta^-1 floats to the front,
-    # mirroring sigma_i to sigma_{n-i} in each chunk it passes, so a
-    # chunk with an odd number of negative chunks to its right is
-    # mirrored: positions and values both read from the other end.
-    right = sum(s < 0 for s, _, _ in chunks)
-    total = -right
-    pairs: list[tuple[list[int], list[int]]] = []
-    for s, q, qi in chunks:
-        if s < 0:
-            right -= 1
-            q, qi = q[::-1], [m - v for v in qi]
-        if right % 2:
-            q, qi = [m - v for v in reversed(q)], [m - v for v in reversed(qi)]
-        pairs.append((q, qi))
-    w0 = tuple(range(m, -1, -1))
-    factors = _left_weighted(pairs, n)
-    while factors and factors[0] == w0:
-        factors.pop(0)
-        total += 1
-    return NormalForm(n, total, tuple(factors))
+    power, factors = _left_weighted(_chunks(w), w.n)
+    return NormalForm(w.n, power, tuple(factors))
+
+
+@lru_cache(maxsize=16)
+def _labels(n: int) -> tuple[str, ...]:
+    """The 1-based text of each 0-based image on n strands."""
+    return tuple(str(v + 1) for v in range(n))
 
 
 def normal_form_key(nf: NormalForm) -> str:
     """The canonical key of a normal form: "n:power:" and 1-based factors."""
-    body = "|".join(
-        ",".join(str(v + 1) for v in f) for f in nf.factors
-    )
+    labels = _labels(nf.n)
+    body = "|".join([",".join([labels[v] for v in f]) for f in nf.factors])
     return f"{nf.n}:{nf.delta_power}:{body}"
 
 
@@ -197,11 +239,12 @@ def equal(u: BraidWord, v: BraidWord) -> bool:
 
     Different strand counts, permutations or strand-pair crossing counts
     (the image in B_n/[P_n, P_n]) decide "not equal" at once; only words
-    that agree on all three are compared by their normal forms.
+    that agree on all three are compared by their normal forms, as
+    `NormalForm` values, without building key strings.
     """
     if u.n != v.n or _crossings(u) != _crossings(v):
         return False
-    return _cached_key(u) == _cached_key(v)
+    return normal_form(u) == normal_form(v)
 
 
 def canonical_key(w: BraidWord) -> str:

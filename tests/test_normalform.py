@@ -12,7 +12,7 @@ from braidkit.freegroup import words_act_equally
 from braidkit.normalform import (
     NormalForm,
     _crossings,
-    _left_weighted,
+    _transfer,
     canonical_key,
     equal,
     normal_form,
@@ -346,12 +346,34 @@ def test_long_word_normal_form_completes():
     assert normal_form(to_word(nf)) == nf
 
 
+def walk_without_extraction(pairs, n):
+    """Thurston's leftward walk with every factor kept, w0 ones too.
+
+    A reference for `_left_weighted`, which takes each w0 out as it forms:
+    here a Delta reaches the front one factor at a time.
+    """
+    identity = list(range(n))
+    facs, invs = [], []
+    for p, pi in pairs:
+        facs.append(p)
+        invs.append(pi)
+        k = len(facs) - 1
+        while k and _transfer(facs[k - 1], invs[k - 1], facs[k], invs[k]):
+            k -= 1
+        while facs and facs[-1] == identity:
+            facs.pop()
+            invs.pop()
+    return [tuple(f) for f in facs]
+
+
 def one_factor_per_letter(w):
-    """The earlier construction, kept as a reference for the chunked one.
+    """A reference for the chunked construction with Delta extraction.
 
     Every letter is its own simple factor.  sigma_i^-1 borrows its own
     Delta^-1, leaving w0 with values i-1, i exchanged, and a letter with
     an odd number of negative letters to its right is read at n - i.
+    The walk keeps every factor, and w0 factors are stripped from the
+    front at the end.
     """
     n = w.n
     w0 = tuple(range(n - 1, -1, -1))
@@ -366,7 +388,7 @@ def one_factor_per_letter(w):
         fi = list(w0 if sign < 0 else range(n))
         fi[i], fi[i + 1] = fi[i + 1], fi[i]
         pairs.append((inverted(fi), fi))
-    factors = _left_weighted(pairs, n)
+    factors = walk_without_extraction(pairs, n)
     while factors and factors[0] == w0:
         factors.pop(0)
         power += 1
@@ -383,10 +405,52 @@ def biased_words(draw):
     return BraidWord(n, tuple((i, 1 if f < bias else -1) for i, f in drawn))
 
 
+@st.composite
+def long_biased_words(draw):
+    # Drawn lists stay far below a large max_size, so the length is
+    # drawn outright and the letters come from a drawn seed.
+    n = draw(st.integers(2, 8))
+    length = draw(st.integers(0, 1000))
+    bias = draw(st.floats(0, 1))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return BraidWord(n, tuple(
+        (rng.randint(1, n - 1), 1 if rng.random() < bias else -1) for _ in range(length)
+    ))
+
+
 @settings(max_examples=300, deadline=None)
 @given(biased_words())
 def test_chunked_normal_form_matches_one_factor_per_letter(w):
     assert normal_form(w) == one_factor_per_letter(w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_biased_words())
+def test_long_normal_forms_match_one_factor_per_letter(w):
+    # Long words take many Deltas out of the walk, at factors that a
+    # later walk reaches again.
+    assert normal_form(w) == one_factor_per_letter(w)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_left_weighting_is_linear_in_word_length(monkeypatch, n):
+    # Without Delta extraction each Delta walks to the front through
+    # every factor: about 90 pair steps per letter at n=4, L=3,200.
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    real = normalform._transfer
+    monkeypatch.setattr(normalform, "_transfer", counted)
+    for length in (400, 3200):
+        rng = random.Random(n * length)
+        w = BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(length)))
+        calls = 0
+        normal_form(w)
+        assert calls <= 5 * length, (length, calls / length)
 
 
 @pytest.mark.parametrize("n, text", [
