@@ -68,8 +68,8 @@ def act(vector: tuple[int, ...], letters) -> tuple[int, ...]:
     c = list(vector)
     for index, sign in letters:
         j = 2 * index - 2
-        x1, y1, x2, y2 = c[j:j + 4]
-        c[j:j + 4] = (_sigma if sign > 0 else _sigma_inverse)(x1, y1, x2, y2)
+        c[j], c[j + 1], c[j + 2], c[j + 3] = (_sigma if sign > 0 else _sigma_inverse)(
+            c[j], c[j + 1], c[j + 2], c[j + 3])
     return tuple(c)
 
 

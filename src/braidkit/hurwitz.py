@@ -12,9 +12,10 @@ exactly when their factors are equal as braids position by position.
 Orbit and path search do not build a `Factorization` per state.  Each
 search interns the factors it meets as small ints keyed by their
 Dynnikov coordinates (`freegroup`), which are the same for exactly the
-words equal as braids, and a state is the tuple of its factors' ids, so
-two states are equal exactly when their tuple keys are.  One memoized
-move table maps a pair of ids to the pairs R_k and R_k^-1 leave.  An
+words equal as braids, and a state is the str whose code points are its
+factors' ids (see `SearchTree`), so two states are equal exactly when
+their tuple keys are.  One memoized move table maps a pair of ids, a
+2-character str, to the pairs R_k and R_k^-1 leave.  An
 entry is filled once per distinct pair of factors by acting on the
 coordinates each id carries, and a word is built, by the move formula
 `apply_move` uses, only for a factor whose coordinates are new.  Normal
@@ -40,7 +41,9 @@ and a mismatch raises `ReplayError`.
 
 Orbits of full-twist factorizations are infinite from 3 strands on, so
 orbit and path search hold at most `DEFAULT_SIZE_CAP` (50,000) states
-unless the caller gives a size cap.
+unless the caller gives a size cap.  A code point is at most
+`sys.maxunicode` (1,114,111), so one search interns at most 1,114,112
+distinct factors; the next raises `MoveError`.
 
 Serialized moves are signed integers: k stands for R_k and -k for
 R_k^-1.
@@ -49,6 +52,8 @@ R_k^-1.
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -59,6 +64,19 @@ from .words import BraidWord, _inverse, _reduce
 
 
 DEFAULT_SIZE_CAP = 50_000
+
+# The largest cell a search state can hold: cells are code points.
+_MAX_CELL = sys.maxunicode
+
+
+def _encode(cells) -> str:
+    """The search state whose code points are the cells, each at most `_MAX_CELL`."""
+    return "".join(map(chr, cells))
+
+
+def _decode(state: str) -> Iterator[int]:
+    """The cells of a search state, in order: the inverse of `_encode`."""
+    return map(ord, state)
 
 
 class MoveError(ValueError):
@@ -160,7 +178,9 @@ def check_replay(got, want, what: str) -> None:
 class SearchTree:
     """A breadth-first search tree, the engine behind every search here.
 
-    States are tuples and are their own deduplication keys.  A state's
+    States are strs, one code point per cell (`_encode`), and are their
+    own deduplication keys: a neighbour is then one concatenation, and a
+    str computes its hash once, for every later lookup.  A state's
     neighbours are its single pair rewrites: at each position, left to
     right, `pairs(state[i:i+2])` lists the (replacement pair, label)
     rewrites in search order, and `grow` is the one loop that walks
@@ -173,7 +193,7 @@ class SearchTree:
     tree, so it stops growing: its frontier is emptied.
     """
 
-    def __init__(self, root: tuple, pairs) -> None:
+    def __init__(self, root: str, pairs) -> None:
         self.root = root
         self.pairs = pairs
         self.parents = {root: (None, None)}
@@ -252,17 +272,19 @@ class _FactorTable(dict):
     trivial lamination), which is the same for exactly the words equal
     as braids.  For each id the table keeps the first freely reduced
     word met for it, the letters of that word's inverse, and the vectors
-    of both.  As a dict the table maps a pair of ids (a, b) to
+    of both.  A state is the str of its factors' ids (`_encode`).  As a
+    dict the table maps a pair of ids (a, b), a 2-character str, to
     (((a b a^-1, a), 1), ((b, b^-1 a b), -1)), the pairs R_k and R_k^-1
-    leave; its `__getitem__` is the tree's `pairs`.  Only the pairs a
-    search expands are filled, so a tree that stops at its cap fills no
-    entry past it.  A missing entry is filled through `_move_pair`, the
-    move formula `apply_move` uses, on ids: the vector of x y x^-1 is the
-    stored vector of x acted on by the letters of y and x^-1, and that
-    of y^-1 x y the stored vector of y^-1 acted on by those of x and y,
-    so a fill acts with |x| + |y| letters per direction.  A new factor's
-    word is reduced and kept only when its vector is new, and no fill
-    computes a normal form.
+    leave, encoded the same way; its `__getitem__` is the tree's `pairs`.
+    Only the pairs a search expands are filled, so a tree that stops at
+    its cap fills no entry past it.  A missing entry is filled through
+    `_move_pair`, the move formula `apply_move` uses, on ids: the vector
+    of x y x^-1 is the stored vector of x acted on by the letters of y
+    and x^-1, and that of y^-1 x y the stored vector of y^-1 acted on by
+    those of x and y, so a fill acts with |x| + |y| letters per
+    direction.  A new factor's word is reduced and kept only when its
+    vector is new, and no fill computes a normal form.  An id past
+    `_MAX_CELL` raises `MoveError`.
     """
 
     def __init__(self, n: int) -> None:
@@ -275,15 +297,19 @@ class _FactorTable(dict):
         self.inverse_vectors: list[tuple[int, ...]] = []
 
     def _add(self, word: BraidWord, vector, inverse_vector) -> int:
-        fid = self.ids[vector] = len(self.words)
+        fid = len(self.words)
+        if fid > _MAX_CELL:
+            raise MoveError(f"a search holds at most {_MAX_CELL + 1:,} distinct factors "
+                            "(one code point each)")
+        self.ids[vector] = fid
         self.words.append(word)
         self.inverses.append(_inverse(word.letters))
         self.vectors.append(vector)
         self.inverse_vectors.append(inverse_vector)
         return fid
 
-    def state(self, f: Factorization) -> tuple[int, ...]:
-        """The ids of f's factors, interning any factor not met before."""
+    def state(self, f: Factorization) -> str:
+        """The state of f's factor ids, interning any factor not met before."""
         trivial = (0, 1) * self.n
         met: dict[tuple, int] = {}  # a word repeated in f is looked up once
         for w in f.factors:
@@ -293,7 +319,7 @@ class _FactorTable(dict):
                 if fid is None:
                     fid = self._add(w, vector, act(trivial, _inverse(w.letters)))
                 met[w.letters] = fid
-        return tuple(met[w.letters] for w in f.factors)
+        return _encode(met[w.letters] for w in f.factors)
 
     def _conjugate(self, h: int, m: int, sign: int) -> int:
         """The id of h^sign m h^-sign, interned with its word if it is new."""
@@ -308,10 +334,10 @@ class _FactorTable(dict):
             fid = self._add(word, vector, act(start, self.inverses[m] + tail))
         return fid
 
-    def __missing__(self, pair: tuple[int, int]):
-        a, b = pair
-        moved = ((_move_pair(a, b, 1, self._conjugate), 1),
-                 (_move_pair(a, b, -1, self._conjugate), -1))
+    def __missing__(self, pair: str):
+        a, b = _decode(pair)
+        moved = ((_encode(_move_pair(a, b, 1, self._conjugate)), 1),
+                 (_encode(_move_pair(a, b, -1, self._conjugate)), -1))
         self[pair] = moved
         return moved
 
@@ -320,16 +346,17 @@ class _FactorTable(dict):
 class OrbitReport:
     """What `orbit_explore` found; `keys` are built when first read.
 
-    `states` are the held states as tuples of ids into `words`, the
-    search's kept factor words, and `keys` their sorted tuple keys,
-    built from the words' normal forms on first read.  Keys passed in
-    are taken as given, so `dataclasses.replace` can set them.
+    `states` are the held states, strs whose code points (`_decode`) are
+    ids into `words`, the search's kept factor words, and `keys` their
+    sorted tuple keys, built from the words' normal forms on first
+    read.  Keys passed in are taken as given, so `dataclasses.replace`
+    can set them.
     """
 
     visited: int
     depth_counts: tuple[int, ...]
     truncated: bool
-    states: tuple[tuple[int, ...], ...] = field(repr=False)
+    states: tuple[str, ...] = field(repr=False)
     words: tuple[BraidWord, ...] = field(repr=False)
 
     def __init__(self, visited, depth_counts, truncated, states, words, keys=None):
@@ -341,7 +368,8 @@ class OrbitReport:
     @cached_property
     def keys(self) -> tuple[str, ...]:
         factor_keys = list(map(canonical_key, self.words))
-        return tuple(sorted(";".join(map(factor_keys.__getitem__, s)) for s in self.states))
+        return tuple(sorted(";".join(map(factor_keys.__getitem__, _decode(s)))
+                            for s in self.states))
 
 
 def orbit_explore(
@@ -364,9 +392,9 @@ def orbit_explore(
     parent, step = tree.parents[last]
     if parent is not None:
         i = step[0] - 1
-        words = tuple(map(table.words.__getitem__, parent))
+        words = tuple(map(table.words.__getitem__, _decode(parent)))
         moved = apply_move(_unchecked(Factorization, n=f.n, factors=words), Move(*step))
-        kept = map(table.words.__getitem__, last[i : i + 2])
+        kept = map(table.words.__getitem__, _decode(last[i : i + 2]))
         check_replay(tuple(map(canonical_key, moved.factors[i : i + 2])),
                      tuple(map(canonical_key, kept)), "orbit move")
     return OrbitReport(len(tree.parents), tuple(tree.layers), tree.capped,

@@ -6,8 +6,11 @@ staying positive throughout.  This module performs that search and
 translates each relation step into the Hurwitz move that realizes it on
 the expanded factorizations.  Closures and path searches grow the
 breadth-first `SearchTree` of `hurwitz` over packed words: each
-letter a_{t,s} is its index in `all_generators`, which keeps the (t, s)
-order, so sorting packed words sorts the words.  `_rewrites` alone says
+letter a_{t,s} is the code point of its index in `all_generators`, which
+keeps the (t, s) order, so sorting packed words sorts the words.  A code
+point is at most `sys.maxunicode`, so a search holds letters up to
+a_{1494,334} (every letter on at most 1,493 strands), and a later letter
+raises `BandError`.  `_rewrites` alone says
 which rewrites apply to an ordered pair of letters, reading a chain
 pair's relation triple off the pair's own indices: `apply_step` reads
 it, and a per-n dict packs its answer per pair on first lookup; that
@@ -44,7 +47,17 @@ from .bands import (
     chain_forms,
     classify_pair,
 )
-from .hurwitz import Move, PathResult, SearchTree, _unchecked, apply_sequence, check_replay
+from .hurwitz import (
+    _MAX_CELL,
+    Move,
+    PathResult,
+    SearchTree,
+    _decode,
+    _encode,
+    _unchecked,
+    apply_sequence,
+    check_replay,
+)
 
 RULES = ("A->B", "B->C", "C->A", "B->A", "C->B", "A->C", "Comm")
 
@@ -95,9 +108,21 @@ def apply_step(w: BandWord, step: RelationStep) -> BandWord:
     raise BandError(f"rule {step.rule} does not apply to the {classify_pair(x, y).value} pair {x} {y}")
 
 
-def _pack(letters: tuple[BandGenerator, ...]) -> tuple[int, ...]:
-    """Each letter a_{t,s} as its index in `all_generators`, which keeps the (t, s) order."""
-    return tuple((a.t - 1) * (a.t - 2) // 2 + a.s - 1 for a in letters)
+def _pack(letters: tuple[BandGenerator, ...]) -> str:
+    """The search state of a band word: each letter a_{t,s} is the code
+    point of its index in `all_generators`, which keeps the (t, s) order."""
+    cells = [(a.t - 1) * (a.t - 2) // 2 + a.s - 1 for a in letters]
+    if cells and max(cells) > _MAX_CELL:
+        last = "a_{%d,%d}" % _ends(_MAX_CELL)
+        raise BandError(f"band letter {letters[cells.index(max(cells))]} is past {last}, "
+                        "the last letter a search can hold (one code point each)")
+    return _encode(cells)
+
+
+def _ends(k: int) -> tuple[int, int]:
+    """The (t, s) of the letter a packed word holds as k: inverts `_pack`."""
+    t = (isqrt(8 * k + 1) + 1) // 2 + 1
+    return t, k - (t - 1) * (t - 2) // 2 + 1
 
 
 class _Letters(dict):
@@ -108,25 +133,24 @@ class _Letters(dict):
         self.n = n
 
     def __missing__(self, k: int) -> BandGenerator:
-        t = (isqrt(8 * k + 1) + 1) // 2 + 1  # inverts `_pack`
-        self[k] = a = BandGenerator(self.n, t, k - (t - 1) * (t - 2) // 2 + 1)
+        self[k] = a = BandGenerator(self.n, *_ends(k))
         return a
 
 
 class _PairTable(dict):
     """The rewrites of each ordered pair of packed letters, filled on first lookup.
 
-    `self[x, y]` lists the (packed replacement pair, rule) rewrites of
-    the packed pair x y in search order (the order of RULES), packed from
-    `_rewrites` once per pair a search meets.
+    `self[xy]` lists the (packed replacement pair, rule) rewrites of the
+    packed pair xy, a 2-character str, in search order (the order of
+    RULES), packed from `_rewrites` once per pair a search meets.
     """
 
     def __init__(self, gens: _Letters) -> None:
         super().__init__()
         self.gens = gens
 
-    def __missing__(self, pair: tuple[int, int]):
-        x, y = self.gens[pair[0]], self.gens[pair[1]]
+    def __missing__(self, pair: str):
+        x, y = map(self.gens.__getitem__, _decode(pair))
         self[pair] = rewrites = tuple((_pack(p), rule) for p, rule in _rewrites(x, y))
         return rewrites
 
@@ -142,12 +166,12 @@ def _tree(w: BandWord) -> SearchTree:
     return SearchTree(_pack(w.letters), _letter_table(w.n)[1].__getitem__)
 
 
-def unpack(n: int, word: tuple[int, ...]) -> BandWord:
-    """The band word of a packed word, a state of `closure_tree`."""
+def unpack(n: int, word: str) -> BandWord:
+    """The band word of a packed word (see `_pack`), a state of `closure_tree`."""
     # Packed letters come from valid band words on n strands, so the
     # word skips re-validating them.
     gens = _letter_table(n)[0]
-    return _unchecked(BandWord, n=n, letters=tuple(map(gens.__getitem__, word)))
+    return _unchecked(BandWord, n=n, letters=tuple(map(gens.__getitem__, _decode(word))))
 
 
 def neighbors(w: BandWord) -> tuple[tuple[BandWord, RelationStep], ...]:

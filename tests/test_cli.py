@@ -158,10 +158,10 @@ def test_orbit_json_deterministic(capsys):
     assert payload["depthCap"] is None
 
 
-def run_process(*argv):
+def run_process(*argv, **env):
     """Exit code and stdout of `braidkit` in a new interpreter, killed after 120 s."""
     proc = subprocess.run([sys.executable, "-m", "braidkit.cli", *argv], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC, **env), timeout=120)
     return proc.returncode, proc.stdout
 
 
@@ -212,6 +212,64 @@ def test_positive_path(capsys):
     )
     assert code == 2
     assert "inconclusive" in out
+
+
+# Search states are strs, one code point per cell, so a cell stops at
+# sys.maxunicode: band letters at a_{1494,334}, factor ids at 1,114,111.
+@pytest.mark.parametrize("word, past", [
+    ("1494:334", None),
+    ("1493:1492 2:1", None),
+    ("1494:335", "1494:335"),
+    ("2000:1999 2:1", "2000:1999"),
+    ("335:1 1494:1", "1494:335"),  # both fit; their chain rewrites need a_{1494,335}
+])
+def test_band_letters_stop_at_the_last_code_point(capsys, word, past):
+    code, out, err = run(capsys, "rewrite-class", "--strands", "2000", word)
+    if past is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out) == (3, "")
+        assert err == (f"error: band letter {past} is past a_{{1494,334}}, "
+                       "the last letter a search can hold (one code point each)\n")
+
+
+@pytest.mark.parametrize("room, factors, code", [
+    (1, ["1", "1"], 0),  # the one factor takes the last id, sys.maxunicode
+    (0, ["1", "1"], 3),
+    (2, ["1", "2"], 3),  # the root fits; the first move's new factor does not
+])
+def test_factor_ids_stop_at_the_last_code_point(capsys, monkeypatch, room, factors, code):
+    class Crowded(hurwitz._FactorTable):
+        """A table with every id but the last `room` already taken."""
+
+        def __init__(self, n):
+            super().__init__(n)
+            taken = sys.maxunicode + 1 - room
+            self.words, self.inverses, self.vectors, self.inverse_vectors = (
+                [None] * taken for _ in range(4))
+
+    monkeypatch.setattr(hurwitz, "_FactorTable", Crowded)
+    got, out, err = run(capsys, "orbit", json.dumps({"strands": 3, "factors": factors}))
+    if code == 0:
+        assert (got, out, err) == (0, "visited=1 truncated=False depths=1\n", "")
+    else:
+        assert (got, out) == (3, "")
+        assert err == ("error: a search holds at most 1,114,112 distinct factors "
+                       "(one code point each)\n")
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    # A str's hash is seeded per process, so no output may follow a hash
+    # order; the golden cases all run in one process, under one seed.
+    for argv in [
+        ("rewrite-class", "--strands", "4", "2:1 3:2 4:3 2:1 3:2"),
+        ("positive-path", "--strands", "4", "2:1 3:2 4:3 2:1 3:2", "3:2 4:3 2:1 3:2 4:3"),
+        ("orbit", "--keys", "--format", "json", "--size-cap", "300",
+         json.dumps({"strands": 4, "factors": ["1", "2", "3"] * 2})),
+        ("verify", "twist-closure", "--strands", "3"),
+    ]:
+        first, second = (run_process(*argv, PYTHONHASHSEED=seed) for seed in ("1", "2"))
+        assert first == second and first[1], argv
 
 
 def test_semiframe_accept(capsys):

@@ -31,6 +31,8 @@ from braidkit.freegroup import dynnikov_coordinates
 from braidkit.hurwitz import (
     Move,
     SearchTree,
+    _decode,
+    _encode,
     apply_move,
     find_path,
     orbit_explore,
@@ -371,11 +373,13 @@ def check_entries(table):
     keys = [key(w) for w in table.words]
     assert len(set(keys)) == len(keys)
     by_key = {k: fid for fid, k in enumerate(keys)}
-    for (a, b), moved in table.items():
+    for pair, moved in table.items():
+        a, b = _decode(pair)
         x, y = table.words[a], table.words[b]
         new_left = by_key[key(compose_all(x.n, (x, y, inverse(x))))]
         new_right = by_key[key(conjugate(x, y))]
-        assert moved == (((new_left, a), 1), ((b, new_right), -1))
+        assert [(tuple(_decode(p)), d) for p, d in moved] == [
+            ((new_left, a), 1), ((b, new_right), -1)]
 
 
 @pytest.mark.parametrize("n, steps, size_cap", [(3, 3, 300), (4, 2, 300), (5, 1, 200)])
@@ -389,8 +393,8 @@ def test_a_table_fill_interns_only_the_new_factor(n, steps, size_cap):
     # Words in the order the search met them: the root's factors, then
     # each fill's a b a^-1 and b^-1 a b.  An id keeps the first one met.
     met = list(f.factors)
-    for (a, b), _ in table.fills:
-        x, y = table.words[a], table.words[b]
+    for pair, _ in table.fills:
+        x, y = map(table.words.__getitem__, _decode(pair))
         met += [compose_all(n, (x, y, inverse(x))), conjugate(x, y)]
     first = {}
     for w in met:
@@ -454,11 +458,11 @@ def test_the_packed_pair_table_agrees_with_classify_pair_and_apply_step(n):
                 want[index[x], index[y]] = [((index[y], index[x]), "Comm")]
     for x in gens:
         for y in gens:
-            got = pairs[index[x], index[y]]
-            assert list(got) == want.get((index[x], index[y]), []), (x, y)
+            got = [(tuple(_decode(p)), rule) for p, rule in pairs[_encode((index[x], index[y]))]]
+            assert got == want.get((index[x], index[y]), []), (x, y)
             assert (not got) == (classify_pair(x, y) is PairClass.INTERLEAVED)
-            assert list(got) == [((index[nb.letters[0]], index[nb.letters[1]]), step.rule)
-                                 for nb, step in reference_neighbors(BandWord(n, (x, y)))]
+            assert got == [((index[nb.letters[0]], index[nb.letters[1]]), step.rule)
+                           for nb, step in reference_neighbors(BandWord(n, (x, y)))]
 
 
 def test_neighbors_match_the_reference_on_whole_words():
@@ -479,7 +483,37 @@ def test_packed_letters_unpack_to_all_generators_index_by_index():
     for n in range(2, 13):
         letters, gens = _letter_table.__wrapped__(n)[0], all_generators(n)
         assert [letters[k] for k in range(len(gens))] == list(gens)
-        assert rewriting._pack(gens) == tuple(range(len(gens)))
+        assert tuple(_decode(rewriting._pack(gens))) == tuple(range(len(gens)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_packed_words_unpack_and_sort_as_their_letters_do(data):
+    n = data.draw(st.integers(3, 8))
+    letter = st.sampled_from(all_generators(n))
+    words = data.draw(st.lists(st.lists(letter, max_size=8).map(tuple), min_size=1, max_size=12))
+    packed = [rewriting._pack(w) for w in words]
+    assert [rewriting.unpack(n, p) for p in packed] == [BandWord(n, w) for w in words]
+    # Code-point order is (t, s) order, so sorted closures and frontiers keep their order.
+    by_letters = sorted(words, key=lambda w: [(a.t, a.s) for a in w])
+    assert sorted(packed) == [rewriting._pack(w) for w in by_letters]
+
+
+def test_factor_table_states_decode_to_the_ids_of_the_kept_words():
+    key = normalform.canonical_key
+    for n in (3, 4, 5):
+        f = walk(standard_factorization(n), random.Random(n), 3)
+        f = Factorization(n, f.factors + f.factors[::2])  # some factors twice
+        table = hurwitz._FactorTable(n)
+        state = table.state(f)
+        ids = tuple(_decode(state))
+        assert [key(table.words[i]) for i in ids] == list(f.factor_keys)
+        assert set(ids) == set(range(len(table.words))) == set(range(len(set(f.factor_keys))))
+        assert table.state(f) == state == _encode(ids)
+        rep = orbit_explore(f, size_cap=200)
+        assert rep.states[0] == state and len(set(rep.states)) == rep.visited == 200
+        for s in rep.states:
+            assert len(s) == len(f) and max(_decode(s)) < len(rep.words)
 
 
 def test_the_pair_table_fills_only_the_pairs_a_search_looks_up(capsys):
