@@ -28,6 +28,7 @@ from functools import cached_property
 from .normalform import canonical_key, equal
 from .words import (
     BraidWord,
+    InputError,
     _check_strands,
     compose,
     compose_all,
@@ -35,10 +36,6 @@ from .words import (
     free_reduce,
     generator,
 )
-
-
-class BandError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -51,7 +48,7 @@ class BandGenerator:
 
     def __post_init__(self) -> None:
         if not 1 <= self.s < self.t <= self.n:
-            raise BandError(
+            raise InputError(
                 f"band indices must satisfy 1 <= s < t <= n, got t={self.t} s={self.s} n={self.n}"
             )
 
@@ -70,7 +67,7 @@ class BandWord:
         _check_strands(self.n)
         for a in self.letters:
             if a.n != self.n:
-                raise BandError(f"letter {a} has strand count {a.n}, expected {self.n}")
+                raise InputError(f"letter {a} has strand count {a.n}, expected {self.n}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -85,11 +82,11 @@ def parse_band_word(text: str, n: int) -> BandWord:
     for token in text.split():
         head, sep, tail = token.partition(":")
         if not sep:
-            raise BandError(f"bad band token {token!r}: expected t:s")
+            raise InputError(f"bad band token {token!r}: expected t:s")
         try:
             t, s = int(head), int(tail)
         except ValueError:
-            raise BandError(f"bad band token {token!r}: expected integers t:s") from None
+            raise InputError(f"bad band token {token!r}: expected integers t:s") from None
         letters.append(BandGenerator(n, t, s))
     return BandWord(n, tuple(letters))
 
@@ -135,7 +132,7 @@ def classify_pair(x: BandGenerator, y: BandGenerator) -> PairClass:
     letter beside itself) are Interleaved.
     """
     if x.n != y.n:
-        raise BandError(f"strand counts differ: {x.n} vs {y.n}")
+        raise InputError(f"strand counts differ: {x.n} vs {y.n}")
     if x.s == y.t:
         return PairClass.CHAIN_A
     if x.t == y.t and x.s < y.s:
@@ -159,10 +156,15 @@ def chain_forms(n: int, t: int, s: int, r: int) -> dict[str, tuple[BandGenerator
     }
 
 
+def standard_band_word(n: int) -> BandWord:
+    """The full twist as the band word (a_{2,1} a_{3,2} ... a_{n,n-1})^n."""
+    row = tuple(BandGenerator(n, i + 1, i) for i in range(1, n))
+    return BandWord(n, row * n)
+
+
 def delta_squared_word(n: int) -> BraidWord:
     """The full twist as the literal word (sigma_1 ... sigma_{n-1})^n."""
-    block = tuple((i, 1) for i in range(1, n))
-    return BraidWord(n, block * n)
+    return expand_word(standard_band_word(n))
 
 
 @dataclass(frozen=True)
@@ -180,7 +182,7 @@ class Factorization:
         _check_strands(self.n)
         for f in self.factors:
             if f.n != self.n:
-                raise BandError(f"factor strand count {f.n}, expected {self.n}")
+                raise InputError(f"factor strand count {f.n}, expected {self.n}")
         object.__setattr__(self, "factors", tuple(free_reduce(f) for f in self.factors))
 
     def __len__(self) -> int:
@@ -206,8 +208,7 @@ def standard_factorization(n: int) -> Factorization:
     The factor tuple is (sigma_1, ..., sigma_{n-1}) repeated n times, so
     the ordered product is delta_squared_word(n) letter for letter.
     """
-    block = tuple(generator(n, i) for i in range(1, n))
-    return Factorization(n, block * n)
+    return band_factorization(standard_band_word(n))
 
 
 def conjugated_factorization(n: int, b: BraidWord) -> Factorization:
@@ -217,7 +218,7 @@ def conjugated_factorization(n: int, b: BraidWord) -> Factorization:
     it even though the factors moved.
     """
     if b.n != n:
-        raise BandError(f"conjugator strand count {b.n}, expected {n}")
+        raise InputError(f"conjugator strand count {b.n}, expected {n}")
     block = tuple(conjugate(generator(n, i), b) for i in range(1, n))
     return Factorization(n, block * n)
 

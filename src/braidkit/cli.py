@@ -34,14 +34,12 @@ import os
 import sys
 
 from .bands import (
-    BandError,
     Factorization,
     delta_squared_word,
     expand_word,
     parse_band_word,
 )
 from .hurwitz import (
-    MoveError,
     ReplayError,
     apply_sequence,
     find_path,
@@ -50,12 +48,10 @@ from .hurwitz import (
     orbit_explore,
 )
 from .normalform import canonical_key, normal_form, normal_form_key
-from .planar import MapError, check_semiframe, map_from_json
+from .planar import check_semiframe, map_from_json
 from .rewriting import equivalence_class, hurwitz_path_positive
-from .verify import DEFAULT_SEED, SUITE_NAMES, _given, check_suite_names, run_suite
-from .words import WordError, conjugate, format_word, parse_word
-
-InputError = (WordError, BandError, MoveError, MapError)
+from .verify import DEFAULT_SEED, SUITE_NAMES, check_suite_names, run_suite
+from .words import InputError, conjugate, format_word, parse_word
 
 # What a handler returns: (exit code, JSON payload, text output).
 Outcome = tuple[int, dict, str]
@@ -75,6 +71,11 @@ def _load_json_arg(arg: str):
         raise json.JSONDecodeError("JSON nested too deeply", text, 0) from None
 
 
+def _given(**caps) -> dict:
+    """The caps a caller set; one left as None keeps the callee's default."""
+    return {k: v for k, v in caps.items() if v is not None}
+
+
 def _is_int(v) -> bool:
     """A JSON integer: an int that is not a bool (JSON true is not 1)."""
     return isinstance(v, int) and not isinstance(v, bool)
@@ -82,19 +83,19 @@ def _is_int(v) -> bool:
 
 def _factorization_from_json(data) -> Factorization:
     if not isinstance(data, dict) or "strands" not in data or "factors" not in data:
-        raise BandError("factorization JSON needs 'strands' and 'factors'")
+        raise InputError("factorization JSON needs 'strands' and 'factors'")
     n = data["strands"]
     if not _is_int(n):
-        raise BandError("'strands' must be an integer")
+        raise InputError("'strands' must be an integer")
     factors = data["factors"]
     if not isinstance(factors, list) or not all(isinstance(s, str) for s in factors):
-        raise BandError("'factors' must be an array of word strings")
+        raise InputError("'factors' must be an array of word strings")
     return Factorization(n, tuple(parse_word(s, n) for s in factors))
 
 
 def _moves_from_json(data):
     if not isinstance(data, list) or not all(_is_int(v) for v in data):
-        raise MoveError("move sequence JSON must be an array of signed integers")
+        raise InputError("move sequence JSON must be an array of signed integers")
     return [move_from_int(v) for v in data]
 
 
@@ -323,7 +324,7 @@ def main(argv=None) -> int:
         code, payload, text = globals()["cmd_" + args.command.replace("-", "_")](args)
         print(json.dumps(payload, indent=2, sort_keys=True) if args.format == "json" else text)
         return code
-    except (*InputError, json.JSONDecodeError, OSError) as exc:
+    except (InputError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ReplayError as exc:

@@ -38,7 +38,7 @@ searches print and check their replays.
 
 from __future__ import annotations
 
-from .words import BraidWord, WordError
+from .words import BraidWord, InputError
 
 
 # The two updates of the module docstring.  Conditional expressions stand
@@ -81,7 +81,7 @@ def dynnikov_coordinates(w: BraidWord) -> tuple[int, ...]:
 def words_act_equally(u: BraidWord, v: BraidWord) -> bool:
     """True iff u and v send the trivial lamination to the same vector."""
     if u.n != v.n:
-        raise WordError(f"strand counts differ: {u.n} vs {v.n}")
+        raise InputError(f"strand counts differ: {u.n} vs {v.n}")
     return dynnikov_coordinates(u) == dynnikov_coordinates(v)
 
 

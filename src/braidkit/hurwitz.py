@@ -43,7 +43,7 @@ Orbits of full-twist factorizations are infinite from 3 strands on, so
 orbit and path search hold at most `DEFAULT_SIZE_CAP` (50,000) states
 unless the caller gives a size cap.  A code point is at most
 `sys.maxunicode` (1,114,111), so one search interns at most 1,114,112
-distinct factors; the next raises `MoveError`.
+distinct factors; the next raises `InputError`.
 
 Serialized moves are signed integers: k stands for R_k and -k for
 R_k^-1.
@@ -60,7 +60,7 @@ from functools import cached_property
 from .bands import Factorization
 from .freegroup import act
 from .normalform import canonical_key
-from .words import BraidWord, _inverse, _reduce
+from .words import BraidWord, InputError, _inverse, _reduce
 
 
 DEFAULT_SIZE_CAP = 50_000
@@ -79,10 +79,6 @@ def _decode(state: str) -> Iterator[int]:
     return map(ord, state)
 
 
-class MoveError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Move:
     k: int
@@ -90,9 +86,9 @@ class Move:
 
     def __post_init__(self) -> None:
         if self.k < 1:
-            raise MoveError(f"move position must be >= 1, got {self.k}")
+            raise InputError(f"move position must be >= 1, got {self.k}")
         if self.direction not in (1, -1):
-            raise MoveError(f"move direction must be +1 or -1, got {self.direction}")
+            raise InputError(f"move direction must be +1 or -1, got {self.direction}")
 
     def inverted(self) -> Move:
         return Move(self.k, -self.direction)
@@ -107,7 +103,7 @@ def move_to_int(m: Move) -> int:
 
 def move_from_int(v: int) -> Move:
     if v == 0:
-        raise MoveError("0 does not encode a move")
+        raise InputError("0 does not encode a move")
     return Move(abs(v), 1 if v > 0 else -1)
 
 
@@ -150,7 +146,7 @@ def apply_sequence(f: Factorization, moves) -> Factorization:
     factors = list(f.factors)
     for idx, m in enumerate(moves):
         if m.k > len(factors) - 1:
-            raise MoveError(f"move {idx + 1} of the sequence: move {m} out of range "
+            raise InputError(f"move {idx + 1} of the sequence: move {m} out of range "
                             f"for a factorization of length {len(factors)}")
         i = m.k - 1
         factors[i : i + 2] = _move_pair(factors[i], factors[i + 1], m.direction, _conjugate_word)
@@ -284,7 +280,7 @@ class _FactorTable(dict):
     those of x and y, so a fill acts with |x| + |y| letters per
     direction.  A new factor's word is reduced and kept only when its
     vector is new, and no fill computes a normal form.  An id past
-    `_MAX_CELL` raises `MoveError`.
+    `_MAX_CELL` raises `InputError`.
     """
 
     def __init__(self, n: int) -> None:
@@ -299,7 +295,7 @@ class _FactorTable(dict):
     def _add(self, word: BraidWord, vector, inverse_vector) -> int:
         fid = len(self.words)
         if fid > _MAX_CELL:
-            raise MoveError(f"a search holds at most {_MAX_CELL + 1:,} distinct factors "
+            raise InputError(f"a search holds at most {_MAX_CELL + 1:,} distinct factors "
                             "(one code point each)")
         self.ids[vector] = fid
         self.words.append(word)
@@ -440,9 +436,9 @@ def find_path(
     in per-factor keys, position by position.
     """
     if f1.n != f2.n:
-        raise MoveError(f"strand counts differ: {f1.n} vs {f2.n}")
+        raise InputError(f"strand counts differ: {f1.n} vs {f2.n}")
     if len(f1) != len(f2):
-        raise MoveError(f"factorization lengths differ: {len(f1)} vs {len(f2)}")
+        raise InputError(f"factorization lengths differ: {len(f1)} vs {len(f2)}")
 
     def finish(moves: list[Move], visited: int) -> PathResult:
         replayed = apply_sequence(f1, moves)

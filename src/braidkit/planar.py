@@ -40,10 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bands import BandGenerator
-
-
-class MapError(ValueError):
-    pass
+from .words import InputError
 
 
 @dataclass(frozen=True)
@@ -72,52 +69,52 @@ def dart(edge_id: str, side: int) -> str:
 
 
 def validate_map(m: CombMap) -> None:
-    """Check the structural invariants; raise MapError on the first failure."""
+    """Check the structural invariants; raise InputError on the first failure."""
     kinds: dict[str, str] = {}
     for v in m.vertices:
         if v.id in kinds:
-            raise MapError(f"duplicate vertex id {v.id!r}")
+            raise InputError(f"duplicate vertex id {v.id!r}")
         if v.kind not in ("puncture", "crossing"):
-            raise MapError(f"vertex {v.id!r} has unknown kind {v.kind!r}")
+            raise InputError(f"vertex {v.id!r} has unknown kind {v.kind!r}")
         kinds[v.id] = v.kind
     edge_ids = set()
     expected_at: dict[str, str] = {}
     for e in m.edges:
         if e.id in edge_ids:
-            raise MapError(f"duplicate edge id {e.id!r}")
+            raise InputError(f"duplicate edge id {e.id!r}")
         edge_ids.add(e.id)
         for side, v in enumerate(e.ends):
             if v not in kinds:
-                raise MapError(f"edge {e.id!r} ends at unknown vertex {v!r}")
+                raise InputError(f"edge {e.id!r} ends at unknown vertex {v!r}")
             expected_at[dart(e.id, side)] = v
         if e.ends[0] == e.ends[1]:
-            raise MapError(f"edge {e.id!r} is a loop at {e.ends[0]!r}")
+            raise InputError(f"edge {e.id!r} is a loop at {e.ends[0]!r}")
     seen_darts = set()
     for v, ring in m.rotations.items():
         if v not in kinds:
-            raise MapError(f"rotation given for unknown vertex {v!r}")
+            raise InputError(f"rotation given for unknown vertex {v!r}")
         for d in ring:
             if d in seen_darts:
-                raise MapError(f"dart {d!r} appears twice in the rotations")
+                raise InputError(f"dart {d!r} appears twice in the rotations")
             seen_darts.add(d)
             if d not in expected_at:
-                raise MapError(f"rotation at {v!r} lists unknown dart {d!r}")
+                raise InputError(f"rotation at {v!r} lists unknown dart {d!r}")
             if expected_at[d] != v:
-                raise MapError(f"dart {d!r} listed at {v!r} but its edge ends at {expected_at[d]!r}")
+                raise InputError(f"dart {d!r} listed at {v!r} but its edge ends at {expected_at[d]!r}")
     missing = set(expected_at) - seen_darts
     if missing:
-        raise MapError(f"darts missing from the rotations: {sorted(missing)}")
+        raise InputError(f"darts missing from the rotations: {sorted(missing)}")
     for v, kind in kinds.items():
         if kind == "crossing" and len(m.rotations.get(v, ())) != 4:
-            raise MapError(f"crossing vertex {v!r} must have degree 4")
+            raise InputError(f"crossing vertex {v!r} must have degree 4")
     if m.mode not in ("free", "fixed"):
-        raise MapError(f"mode must be 'free' or 'fixed', got {m.mode!r}")
+        raise InputError(f"mode must be 'free' or 'fixed', got {m.mode!r}")
     if m.mode == "fixed":
         if m.outer is None:
-            raise MapError("fixed mode requires an outer face designation")
+            raise InputError("fixed mode requires an outer face designation")
         for comp, idx in m.outer.items():
             if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
-                raise MapError(f"outer face index for component {comp!r} must be a nonnegative integer")
+                raise InputError(f"outer face index for component {comp!r} must be a nonnegative integer")
 
 
 def _components(m: CombMap) -> dict[str, str]:
@@ -155,7 +152,7 @@ def trace_faces(m: CombMap) -> tuple[FaceWalk, ...]:
     """All face walks of the map, one synthetic walk per edgeless component.
 
     Faces come back sorted by (component, smallest dart), which is the
-    order face indices refer to.  Raises MapError when a component
+    order face indices refer to.  Raises InputError when a component
     violates V - E + F = 2.
     """
     validate_map(m)
@@ -195,7 +192,7 @@ def trace_faces(m: CombMap) -> tuple[FaceWalk, ...]:
         counts[f.component][2] += 1
     for cid, (nv, ne, nf) in sorted(counts.items()):
         if nv - ne + nf != 2:
-            raise MapError(
+            raise InputError(
                 f"component {cid!r} has V-E+F = {nv}-{ne}+{nf} != 2: not a sphere embedding"
             )
     faces.sort(key=lambda f: (f.component, f.darts[0] if f.darts else ""))
@@ -230,7 +227,7 @@ def check_semiframe(m: CombMap) -> Verdict:
     by_component = face_indices(trace_faces(m))
     for cid in m.outer if m.mode == "fixed" else ():
         if cid not in by_component:
-            raise MapError(f"fixed mode: outer names {cid!r}, which is not a component id")
+            raise InputError(f"fixed mode: outer names {cid!r}, which is not a component id")
     witnesses: dict[str, int] = {}
     for cid, faces in sorted(by_component.items()):
         # Every vertex lies on a face of its component (an isolated one on
@@ -238,9 +235,9 @@ def check_semiframe(m: CombMap) -> Verdict:
         need = puncture_ids.intersection(v for f in faces for v in f.vertices)
         if m.mode == "fixed":
             if cid not in m.outer:
-                raise MapError(f"fixed mode: no outer face designated for component {cid!r}")
+                raise InputError(f"fixed mode: no outer face designated for component {cid!r}")
             if m.outer[cid] >= len(faces):
-                raise MapError(f"component {cid!r} has no face {m.outer[cid]}")
+                raise InputError(f"component {cid!r} has no face {m.outer[cid]}")
             candidates = [m.outer[cid]]
         else:
             candidates = range(len(faces))
@@ -320,7 +317,7 @@ def band_subgraph_map(n: int, generators) -> CombMap:
     gens = sorted(set(generators), key=lambda a: (a.t, a.s))
     for a in gens:
         if a.n != n:
-            raise MapError(f"generator {a} has strand count {a.n}, expected {n}")
+            raise InputError(f"generator {a} has strand count {a.n}, expected {n}")
     xs = (0, *_abscissae(n))
     line = {a: (xs[a.s] + xs[a.t], xs[a.s] * xs[a.t]) for a in gens}
     vertices = [Vertex(f"p{j}", "puncture") for j in range(1, n + 1)]
@@ -336,7 +333,7 @@ def band_subgraph_map(n: int, generators) -> CombMap:
     stops: dict[BandGenerator, list[str]] = {a: [f"p{a.s}"] for a in gens}
     for k, point in enumerate(sorted(crossing_at)):
         if len(crossing_at[point]) > 2:
-            raise MapError("three chords through one point; layout degenerate")
+            raise InputError("three chords through one point; layout degenerate")
         vertices.append(Vertex(f"c{k}", "crossing"))
         for a in crossing_at[point]:
             stops[a].append(f"c{k}")
@@ -373,7 +370,7 @@ def delete_edge(m: CombMap, edge_id: str) -> CombMap:
     fixed-mode designation goes stale: the result is always free mode.
     """
     if all(e.id != edge_id for e in m.edges):
-        raise MapError(f"no edge {edge_id!r}")
+        raise InputError(f"no edge {edge_id!r}")
     drop = {dart(edge_id, 0), dart(edge_id, 1)}
     rotations = {
         v: tuple(d for d in ring if d not in drop) for v, ring in m.rotations.items()
@@ -401,20 +398,20 @@ def map_to_json(m: CombMap) -> dict:
 
 def _text(value, what: str) -> str:
     if not isinstance(value, str):
-        raise MapError(f"{what} must be a string, got {value!r}")
+        raise InputError(f"{what} must be a string, got {value!r}")
     return value
 
 
 def _ends(value) -> tuple[str, str]:
     if not isinstance(value, list) or len(value) != 2:
-        raise MapError(f"edge ends must be a list of two vertex ids, got {value!r}")
+        raise InputError(f"edge ends must be a list of two vertex ids, got {value!r}")
     return _text(value[0], "edge end"), _text(value[1], "edge end")
 
 
 def _array(value, what: str) -> list:
     # An empty object or string would iterate as no items at all.
     if not isinstance(value, list):
-        raise MapError(f"{what} must be a JSON array, got {value!r}")
+        raise InputError(f"{what} must be a JSON array, got {value!r}")
     return value
 
 
@@ -434,5 +431,5 @@ def map_from_json(data: dict) -> CombMap:
         if outer is not None:
             outer = {str(k): v for k, v in outer.items()}
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
-        raise MapError(f"malformed map JSON: {exc}") from None
+        raise InputError(f"malformed map JSON: {exc}") from None
     return CombMap(vertices, edges, rotations, mode, outer)

@@ -10,7 +10,7 @@ letter a_{t,s} is the code point of its index in `all_generators`, which
 keeps the (t, s) order, so sorting packed words sorts the words.  A code
 point is at most `sys.maxunicode`, so a search holds letters up to
 a_{1494,334} (every letter on at most 1,493 strands), and a later letter
-raises `BandError`.  `_rewrites` alone says
+raises `InputError`.  `_rewrites` alone says
 which rewrites apply to an ordered pair of letters, reading a chain
 pair's relation triple off the pair's own indices: `apply_step` reads
 it, and a per-n dict packs its answer per pair on first lookup; that
@@ -39,7 +39,6 @@ from functools import lru_cache
 from math import isqrt
 
 from .bands import (
-    BandError,
     BandGenerator,
     BandWord,
     PairClass,
@@ -58,6 +57,7 @@ from .hurwitz import (
     apply_sequence,
     check_replay,
 )
+from .words import InputError
 
 RULES = ("A->B", "B->C", "C->A", "B->A", "C->B", "A->C", "Comm")
 
@@ -73,9 +73,9 @@ class RelationStep:
 
     def __post_init__(self) -> None:
         if self.position < 1:
-            raise BandError(f"step position must be >= 1, got {self.position}")
+            raise InputError(f"step position must be >= 1, got {self.position}")
         if self.rule not in RULES:
-            raise BandError(f"unknown rule {self.rule!r}")
+            raise InputError(f"unknown rule {self.rule!r}")
 
 
 def _rewrites(x: BandGenerator, y: BandGenerator) -> tuple:
@@ -100,12 +100,12 @@ def apply_step(w: BandWord, step: RelationStep) -> BandWord:
     """Rewrite one adjacent pair of w according to the step's rule."""
     i = step.position - 1
     if i + 1 >= len(w.letters):
-        raise BandError(f"step position {step.position} out of range for length {len(w)}")
+        raise InputError(f"step position {step.position} out of range for length {len(w)}")
     x, y = w.letters[i], w.letters[i + 1]
     for pair, rule in _rewrites(x, y):
         if rule == step.rule:
             return BandWord(w.n, w.letters[:i] + pair + w.letters[i + 2 :])
-    raise BandError(f"rule {step.rule} does not apply to the {classify_pair(x, y).value} pair {x} {y}")
+    raise InputError(f"rule {step.rule} does not apply to the {classify_pair(x, y).value} pair {x} {y}")
 
 
 def _pack(letters: tuple[BandGenerator, ...]) -> str:
@@ -114,7 +114,7 @@ def _pack(letters: tuple[BandGenerator, ...]) -> str:
     cells = [(a.t - 1) * (a.t - 2) // 2 + a.s - 1 for a in letters]
     if cells and max(cells) > _MAX_CELL:
         last = "a_{%d,%d}" % _ends(_MAX_CELL)
-        raise BandError(f"band letter {letters[cells.index(max(cells))]} is past {last}, "
+        raise InputError(f"band letter {letters[cells.index(max(cells))]} is past {last}, "
                         "the last letter a search can hold (one code point each)")
     return _encode(cells)
 
@@ -233,7 +233,7 @@ def hurwitz_path_positive(w1: BandWord, w2: BandWord, size_cap: int = DEFAULT_WO
     factorization of w2, factor keys matching position by position.
     """
     if w1.n != w2.n:
-        raise BandError(f"strand counts differ: {w1.n} vs {w2.n}")
+        raise InputError(f"strand counts differ: {w1.n} vs {w2.n}")
     if len(w1) != len(w2):
         return PathResult("not_equal", None, 0, False)
     target = _pack(w2.letters)

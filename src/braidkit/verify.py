@@ -16,7 +16,6 @@ import math
 import random
 
 from .bands import (
-    BandError,
     BandGenerator,
     BandWord,
     Factorization,
@@ -29,6 +28,7 @@ from .bands import (
     expand,
     expand_word,
     is_central,
+    standard_band_word,
     standard_factorization,
     PairClass,
 )
@@ -46,6 +46,7 @@ from .rewriting import (
 )
 from .words import (
     BraidWord,
+    InputError,
     _check_strands,
     compose,
     compose_all,
@@ -68,6 +69,13 @@ SUITE_NAMES = (
     "conjugated-split",
     "action-axioms",
 )
+
+# The options each suite takes besides the strand count; the others take none.
+_OPTIONS = {
+    "twist-closure": ("seed", "size_cap"),
+    "conjugated-split": ("depth_cap", "size_cap"),
+    "action-axioms": ("seed",),
+}
 
 
 def _report(suite: str, n: int, checks: int, failures: list[str],
@@ -199,18 +207,13 @@ def suite_embedding(n: int) -> dict:
                    maxLen=max_len, classes=len(firsts))
 
 
-def _standard_band_word(n: int) -> BandWord:
-    row = tuple(BandGenerator(n, i + 1, i) for i in range(1, n))
-    return BandWord(n, row * n)
-
-
 def suite_twist_closure(n: int, size_cap: int = 200000, seed: int = DEFAULT_SEED) -> dict:
     """Every member of the full twist's rewrite closure compiles back.
 
     Paths run from the target along one closure tree's parent links (moves
     are invertible, so that proves the same), and each tree edge is replayed once.
     """
-    target = _standard_band_word(n)
+    target = standard_band_word(n)
     tree = closure_tree(target, size_cap)
     if tree.capped:
         return _report("twist-closure", n, 0, ["closure truncated before completing"],
@@ -320,16 +323,11 @@ def _action_checks(n: int, seed: int):
                "a random move sequence changed the product")
 
 
-def _given(**caps) -> dict:
-    """The caps a caller set; one left as None keeps the callee's default."""
-    return {k: v for k, v in caps.items() if v is not None}
-
-
 def check_suite_names(names) -> None:
-    """Raise BandError for the first of the names that is no suite."""
+    """Raise InputError for the first of the names that is no suite."""
     for name in names:
         if name not in SUITE_NAMES:
-            raise BandError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+            raise InputError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
 
 
 def run_suite(
@@ -339,22 +337,14 @@ def run_suite(
     depth_cap: int | None = None,
     size_cap: int | None = None,
 ) -> dict:
-    """Run one named suite; a cap left as None takes the suite's default.
+    """Run one named suite; an option left as None takes the suite's default.
 
-    An unknown name is rejected before the strand count is checked.
+    An unknown name is rejected before the strand count is checked.  The
+    suite function is looked up by name at call time, as `cli.main` finds
+    its handlers, so a suite replaced later still runs.
     """
     check_suite_names((name,))
     _check_strands(n)
-    if name == "relations":
-        return suite_relations(n)
-    if name == "centrality":
-        return suite_centrality(n)
-    if name == "chain-rules":
-        return suite_chain_rules(n)
-    if name == "embedding":
-        return suite_embedding(n)
-    if name == "twist-closure":
-        return suite_twist_closure(n, seed=seed, **_given(size_cap=size_cap))
-    if name == "conjugated-split":
-        return suite_conjugated_split(n, **_given(depth_cap=depth_cap, size_cap=size_cap))
-    return suite_action_axioms(n, seed=seed)
+    given = {"seed": seed, "depth_cap": depth_cap, "size_cap": size_cap}
+    options = {k: given[k] for k in _OPTIONS.get(name, ()) if given[k] is not None}
+    return globals()["suite_" + name.replace("-", "_")](n, **options)

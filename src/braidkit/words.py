@@ -25,13 +25,13 @@ Letter = tuple[int, int]
 Perm = tuple[int, ...]
 
 
-class WordError(ValueError):
-    """Malformed braid-word input or mismatched strand counts."""
+class InputError(ValueError):
+    """Malformed input, from the input checks of every module; the CLI exits 3 on it."""
 
 
 def _check_strands(n: int) -> None:
     if n < 2:
-        raise WordError(f"strand count must be at least 2, got {n}")
+        raise InputError(f"strand count must be at least 2, got {n}")
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,9 @@ class BraidWord:
         _check_strands(self.n)
         for index, sign in self.letters:
             if not 1 <= index <= self.n - 1:
-                raise WordError(
-                    f"letter index {index} out of range for {self.n} strands"
-                )
+                raise InputError(f"letter index {index} out of range for {self.n} strands")
             if sign not in (1, -1):
-                raise WordError(f"letter sign must be +1 or -1, got {sign}")
+                raise InputError(f"letter sign must be +1 or -1, got {sign}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -67,7 +65,7 @@ def parse_word(text: str, n: int) -> BraidWord:
     """Parse whitespace-separated signed generator indices.
 
     k > 0 maps to (k, +1), k < 0 to (-k, -1); order is preserved and no
-    reduction is applied.  Raises WordError naming the offending token.
+    reduction is applied.  Raises InputError naming the offending token.
     """
     _check_strands(n)
     letters: list[Letter] = []
@@ -75,13 +73,11 @@ def parse_word(text: str, n: int) -> BraidWord:
         try:
             k = int(token)
         except ValueError:
-            raise WordError(f"not an integer token: {token!r}") from None
+            raise InputError(f"not an integer token: {token!r}") from None
         if k == 0:
-            raise WordError("zero is not a generator index")
+            raise InputError("zero is not a generator index")
         if abs(k) > n - 1:
-            raise WordError(
-                f"token {token!r} out of range: need |k| <= {n - 1} for {n} strands"
-            )
+            raise InputError(f"token {token!r} out of range: need |k| <= {n - 1} for {n} strands")
         letters.append((abs(k), 1 if k > 0 else -1))
     return BraidWord(n, tuple(letters))
 
@@ -131,7 +127,7 @@ def compose_all(n: int, words: Iterable[BraidWord]) -> BraidWord:
     letters: list[Letter] = []
     for w in words:
         if w.n != n:
-            raise WordError(f"strand counts differ: {n} vs {w.n}")
+            raise InputError(f"strand counts differ: {n} vs {w.n}")
         letters.extend(w.letters)
     return BraidWord(n, _reduce(letters))
 

@@ -1,7 +1,6 @@
 import pytest
 
 from braidkit.bands import (
-    BandError,
     BandGenerator,
     BandWord,
     Factorization,
@@ -20,7 +19,7 @@ from braidkit.bands import (
 from braidkit.normalform import canonical_key, equal
 from braidkit.words import (
     BraidWord,
-    WordError,
+    InputError,
     exponent_sum,
     format_word,
     generator,
@@ -35,13 +34,13 @@ def g(n, t, s):
 
 def test_generator_validation():
     g(5, 4, 2)
-    with pytest.raises(BandError):
+    with pytest.raises(InputError):
         g(3, 2, 2)
-    with pytest.raises(BandError):
+    with pytest.raises(InputError):
         g(3, 1, 2)
-    with pytest.raises(BandError):
+    with pytest.raises(InputError):
         g(3, 4, 1)
-    with pytest.raises(BandError):
+    with pytest.raises(InputError):
         g(3, 2, 0)
 
 
@@ -55,16 +54,16 @@ def test_parse_and_format():
     w = parse_band_word("3:1 2:1", 3)
     assert len(w) == 2
     assert str(w) == "3:1 2:1"
-    with pytest.raises(BandError):
+    with pytest.raises(InputError):
         parse_band_word("31", 3)
-    with pytest.raises(BandError):
+    with pytest.raises(InputError):
         parse_band_word("3:x", 3)
-    with pytest.raises(BandError):
+    with pytest.raises(InputError):
         parse_band_word("4:1", 3)
 
 
 def test_band_word_rejects_foreign_letters():
-    with pytest.raises(BandError):
+    with pytest.raises(InputError):
         BandWord(4, (g(3, 2, 1),))
 
 
@@ -111,7 +110,7 @@ def test_classify_pair(x, y, expected):
 
 
 def test_classify_pair_rejects_a_strand_mismatch():
-    with pytest.raises(BandError, match="strand counts differ: 4 vs 5"):
+    with pytest.raises(InputError, match="strand counts differ: 4 vs 5"):
         classify_pair(g(4, 2, 1), g(5, 2, 1))
 
 
@@ -152,21 +151,21 @@ def test_factorization_reduces_factors_and_keys():
 
 
 def test_factorization_rejects_strand_mismatch():
-    with pytest.raises(BandError):
+    with pytest.raises(InputError):
         Factorization(3, (parse_word("1", 4),))
 
 
 def test_factorization_needs_two_strands():
     for n in (0, 1):
-        with pytest.raises(WordError):
+        with pytest.raises(InputError):
             Factorization(n, ())
 
 
 def test_band_word_needs_two_strands():
     for n in (0, 1):
-        with pytest.raises(WordError):
+        with pytest.raises(InputError):
             BandWord(n)
-        with pytest.raises(WordError):
+        with pytest.raises(InputError):
             parse_band_word("", n)
 
 
@@ -190,7 +189,7 @@ def test_conjugated_factorization():
 
 
 def test_conjugated_factorization_rejects_a_conjugator_on_other_strands():
-    with pytest.raises(BandError, match="conjugator strand count 4, expected 3"):
+    with pytest.raises(InputError, match="conjugator strand count 4, expected 3"):
         conjugated_factorization(3, generator(4, 1))
 
 

@@ -497,6 +497,9 @@ ONE_EDGE = {"vertices": [{"id": "a", "kind": "puncture"}, {"id": "b", "kind": "p
     ("semiframe", '{"vertices": {}, "edges": {}}'),
     ("semiframe", '{"vertices": [], "edges": ""}'),
     ("semiframe", json.dumps(dict(ONE_PUNCTURE, rotations={"p1": ""}, mode="free"))),
+    ("orbit", '{"strands": "3", "factors": []}'),
+    ("orbit", '{"strands": true, "factors": []}'),
+    ("orbit", '{"strands": 3.0, "factors": []}'),
 ])
 def test_malformed_json_values_are_input_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -554,6 +557,19 @@ def test_a_crash_exits_inconclusive_not_negative(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: internal error: RuntimeError('boom')\n"
+
+
+def test_a_value_error_that_no_input_check_raised_is_a_fault(capsys, monkeypatch):
+    # Only InputError means malformed input; a ValueError from inside, such as
+    # chr() past sys.maxunicode, is a fault.
+    def crash(args):
+        raise ValueError("chr() arg not in range(0x110000)")
+
+    monkeypatch.setattr("braidkit.cli.cmd_orbit", crash)
+    code, out, err = run(capsys, "orbit", FACT)
+    assert code == 2
+    assert out == ""
+    assert err == "error: internal error: ValueError('chr() arg not in range(0x110000)')\n"
 
 
 def test_nf_computes_the_normal_form_once(capsys, monkeypatch):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from braidkit.bands import delta_squared_word
 from braidkit.freegroup import action_key, dynnikov_coordinates, words_act_equally
 from braidkit.normalform import canonical_key, equal
-from braidkit.words import BraidWord, WordError, inverse, parse_word
+from braidkit.words import BraidWord, InputError, inverse, parse_word
 
 
 def test_free_word_inverse():
@@ -68,7 +68,7 @@ def test_action_respects_braid_relations():
 
 
 def test_words_on_different_strands_are_not_compared():
-    with pytest.raises(WordError, match="strand counts differ: 3 vs 4"):
+    with pytest.raises(InputError, match="strand counts differ: 3 vs 4"):
         words_act_equally(parse_word("1", 3), parse_word("1", 4))
 
 

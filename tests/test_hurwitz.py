@@ -14,7 +14,6 @@ from braidkit.bands import (
 )
 from braidkit.hurwitz import (
     Move,
-    MoveError,
     apply_move,
     apply_sequence,
     find_path,
@@ -25,6 +24,7 @@ from braidkit.hurwitz import (
 )
 from braidkit.words import (
     BraidWord,
+    InputError,
     compose_all,
     conjugate,
     format_word,
@@ -40,9 +40,9 @@ def fact(n, *words):
 def test_move_validation_and_text():
     assert str(Move(2, 1)) == "R2"
     assert str(Move(1, -1)) == "R1^-1"
-    with pytest.raises(MoveError):
+    with pytest.raises(InputError):
         Move(0, 1)
-    with pytest.raises(MoveError):
+    with pytest.raises(InputError):
         Move(1, 2)
 
 
@@ -51,7 +51,7 @@ def test_move_int_encoding():
     assert move_to_int(Move(2, -1)) == -2
     assert move_from_int(-4) == Move(4, -1)
     assert move_from_int(1) == Move(1, 1)
-    with pytest.raises(MoveError):
+    with pytest.raises(InputError):
         move_from_int(0)
 
 
@@ -143,13 +143,13 @@ def test_chain_relation_realized_by_one_move():
 
 def test_apply_move_position_out_of_range():
     f = fact(3, "1", "2")
-    with pytest.raises(MoveError, match="move 1 of the sequence: move R2 out of range"):
+    with pytest.raises(InputError, match="move 1 of the sequence: move R2 out of range"):
         apply_move(f, Move(2, 1))
 
 
 def test_apply_sequence_reports_failing_index():
     f = fact(3, "1", "2")
-    with pytest.raises(MoveError, match="move 2 of the sequence"):
+    with pytest.raises(InputError, match="move 2 of the sequence"):
         apply_sequence(f, [Move(1, 1), Move(5, 1)])
 
 
@@ -237,7 +237,7 @@ def test_find_path_between_full_twist_factorizations():
 
 
 def test_strand_and_length_mismatch_raise():
-    with pytest.raises(MoveError):
+    with pytest.raises(InputError):
         find_path(fact(3, "1"), fact(4, "1"))
-    with pytest.raises(MoveError):
+    with pytest.raises(InputError):
         find_path(fact(3, "1", "2"), fact(3, "1"))

@@ -13,7 +13,6 @@ from braidkit.planar import (
     CombMap,
     Edge,
     FaceWalk,
-    MapError,
     Vertex,
     band_subgraph_map,
     check_semiframe,
@@ -24,6 +23,7 @@ from braidkit.planar import (
     trace_faces,
     validate_map,
 )
+from braidkit.words import InputError
 
 
 def triangle():
@@ -63,12 +63,12 @@ def test_validate_accepts_triangle():
 def test_validate_rejects_duplicate_vertex():
     m = triangle()
     bad = CombMap(m.vertices + (Vertex("p1", "puncture"),), m.edges, m.rotations)
-    with pytest.raises(MapError, match="duplicate vertex"):
+    with pytest.raises(InputError, match="duplicate vertex"):
         validate_map(bad)
 
 
 def test_validate_rejects_unknown_kind():
-    with pytest.raises(MapError, match="unknown kind"):
+    with pytest.raises(InputError, match="unknown kind"):
         validate_map(CombMap((Vertex("v", "hub"),), (), {"v": ()}))
 
 
@@ -78,7 +78,7 @@ def test_validate_rejects_loop():
         (Edge("a", ("p1", "p1")),),
         {"p1": ("a:0", "a:1")},
     )
-    with pytest.raises(MapError, match="loop"):
+    with pytest.raises(InputError, match="loop"):
         validate_map(m)
 
 
@@ -86,11 +86,11 @@ def test_validate_rejects_rotation_mismatches():
     m = triangle()
     rot = dict(m.rotations)
     rot["p1"] = ("a:0",)
-    with pytest.raises(MapError, match="missing"):
+    with pytest.raises(InputError, match="missing"):
         validate_map(CombMap(m.vertices, m.edges, rot))
     rot = dict(m.rotations)
     rot["p1"] = ("a:0", "a:1", "c:1")
-    with pytest.raises(MapError, match="listed at"):
+    with pytest.raises(InputError, match="listed at"):
         validate_map(CombMap(m.vertices, m.edges, rot))
 
 
@@ -105,7 +105,7 @@ def test_validate_rejects_rotation_mismatches():
 def test_validate_rejects_bad_edges_and_darts(capsys, change, message):
     data = map_to_json(triangle())
     change(data)
-    with pytest.raises(MapError, match=message):
+    with pytest.raises(InputError, match=message):
         validate_map(map_from_json(data))
     assert main(["semiframe", json.dumps(data)]) == 3
     out = capsys.readouterr()
@@ -118,15 +118,15 @@ def test_validate_rejects_small_crossing():
         (Edge("a", ("p1", "c0")),),
         {"p1": ("a:0",), "c0": ("a:1",)},
     )
-    with pytest.raises(MapError, match="degree 4"):
+    with pytest.raises(InputError, match="degree 4"):
         validate_map(m)
 
 
 def test_validate_rejects_bad_mode_and_missing_outer():
     m = triangle()
-    with pytest.raises(MapError, match="mode"):
+    with pytest.raises(InputError, match="mode"):
         validate_map(CombMap(m.vertices, m.edges, m.rotations, "floating", None))
-    with pytest.raises(MapError, match="outer"):
+    with pytest.raises(InputError, match="outer"):
         validate_map(CombMap(m.vertices, m.edges, m.rotations, "fixed", None))
 
 
@@ -168,7 +168,7 @@ def test_theta_graph_torus_rotations_rejected():
         (Edge("a", ("p1", "p2")), Edge("b", ("p1", "p2")), Edge("c", ("p1", "p2"))),
         {"p1": ("a:0", "b:0", "c:0"), "p2": ("a:1", "b:1", "c:1")},
     )
-    with pytest.raises(MapError, match="sphere"):
+    with pytest.raises(InputError, match="sphere"):
         trace_faces(m)
 
 
@@ -197,10 +197,10 @@ def test_semiframe_fixed_mode_triangle():
     good = CombMap(m.vertices, m.edges, m.rotations, "fixed", {"p1": 1})
     assert check_semiframe(good).accepted
     missing = CombMap(m.vertices, m.edges, m.rotations, "fixed", {})
-    with pytest.raises(MapError, match="no outer face designated"):
+    with pytest.raises(InputError, match="no outer face designated"):
         check_semiframe(missing)
     out_of_range = CombMap(m.vertices, m.edges, m.rotations, "fixed", {"p1": 5})
-    with pytest.raises(MapError, match="no face 5"):
+    with pytest.raises(InputError, match="no face 5"):
         check_semiframe(out_of_range)
 
 
@@ -270,7 +270,7 @@ def test_band_maps_of_random_subsets_are_drawn(n):
 
 
 def test_band_map_rejects_foreign_strand_count():
-    with pytest.raises(MapError):
+    with pytest.raises(InputError):
         band_subgraph_map(4, [BandGenerator(5, 3, 1)])
 
 
@@ -287,7 +287,7 @@ def test_delete_edge():
     assert len(out.edges) == 2
     assert all("b:" not in d for ring in out.rotations.values() for d in ring)
     assert check_semiframe(out).accepted
-    with pytest.raises(MapError):
+    with pytest.raises(InputError):
         delete_edge(m, "zz")
 
 
@@ -309,15 +309,15 @@ def test_json_round_trip():
 
 
 def test_json_malformed():
-    with pytest.raises(MapError):
+    with pytest.raises(InputError):
         map_from_json({"vertices": "nope"})
-    with pytest.raises(MapError):
+    with pytest.raises(InputError):
         map_from_json({})
     # Each of these iterates as no items, so only a type check rejects it.
     for data in ({"vertices": {}, "edges": []}, {"vertices": [], "edges": ""},
                  {"vertices": [{"id": "p1", "kind": "puncture"}], "edges": [],
                   "rotations": {"p1": ""}}):
-        with pytest.raises(MapError, match="must be a JSON array"):
+        with pytest.raises(InputError, match="must be a JSON array"):
             map_from_json(data)
 
 
@@ -332,7 +332,7 @@ def test_json_fields_must_be_strings(path):
     for key in head:
         at = at[key]
     at[last] = 1
-    with pytest.raises(MapError, match="must be a string"):
+    with pytest.raises(InputError, match="must be a string"):
         map_from_json(data)
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from braidkit.bands import BandError, band_factorization, parse_band_word
+from braidkit.bands import band_factorization, parse_band_word
 from braidkit.hurwitz import Move, apply_sequence
 from braidkit.normalform import equal
 from braidkit.bands import expand_word
@@ -13,6 +13,7 @@ from braidkit.rewriting import (
     neighbors,
     step_to_move,
 )
+from braidkit.words import InputError
 
 
 def bw(text, n=3):
@@ -21,9 +22,9 @@ def bw(text, n=3):
 
 def test_step_validation():
     RelationStep(1, "A->B")
-    with pytest.raises(BandError):
+    with pytest.raises(InputError):
         RelationStep(0, "A->B")
-    with pytest.raises(BandError):
+    with pytest.raises(InputError):
         RelationStep(1, "A->A")
 
 
@@ -47,11 +48,11 @@ def test_apply_step_commuting():
 
 
 def test_apply_step_rejects_wrong_class():
-    with pytest.raises(BandError):
+    with pytest.raises(InputError):
         apply_step(bw("3:2 2:1"), RelationStep(1, "B->C"))
-    with pytest.raises(BandError):
+    with pytest.raises(InputError):
         apply_step(bw("2:1 4:3", 4), RelationStep(1, "A->B"))
-    with pytest.raises(BandError):
+    with pytest.raises(InputError):
         apply_step(bw("3:2 2:1"), RelationStep(2, "A->B"))
 
 
@@ -113,7 +114,7 @@ def test_relation_path_inconclusive_when_capped():
 
 
 def test_relation_path_strand_mismatch():
-    with pytest.raises(BandError):
+    with pytest.raises(InputError):
         hurwitz_path_positive(bw("2:1"), bw("2:1", 4))
 
 

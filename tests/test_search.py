@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import braidkit
 from braidkit import cli, hurwitz, normalform, rewriting
 from braidkit.bands import (
-    BandError,
     BandGenerator,
     BandWord,
     Factorization,
@@ -49,7 +48,7 @@ from braidkit.rewriting import (
     neighbors,
     step_to_move,
 )
-from braidkit.words import compose_all, conjugate, inverse, parse_word
+from braidkit.words import InputError, compose_all, conjugate, inverse, parse_word
 
 
 def fact(n, *words):
@@ -429,7 +428,7 @@ def reference_neighbors(w):
             step = RelationStep(i + 1, rule)
             try:
                 out.append((apply_step(w, step), step))
-            except BandError:
+            except InputError:
                 pass
     return out
 

@@ -1,11 +1,13 @@
 """Suite reports: the embedding components, check tallies and the inconclusive rule."""
 
+import re
+
 import pytest
 
 from braidkit import freegroup, verify
 from braidkit.bands import BandWord
 from braidkit.hurwitz import PathResult, ReplayError
-from braidkit.verify import run_suite, suite_conjugated_split, suite_embedding
+from braidkit.verify import SUITE_NAMES, run_suite, suite_conjugated_split, suite_embedding
 
 
 @pytest.mark.parametrize("n,max_len,checks,classes", [
@@ -17,6 +19,19 @@ def test_embedding_components_are_the_product_classes(n, max_len, checks, classe
     rep = suite_embedding(n)
     assert (rep["ok"], rep["inconclusive"], rep["failures"]) == (True, False, [])
     assert (rep["checks"], rep["classes"], rep["maxLen"]) == (checks, classes, max_len)
+
+
+@pytest.mark.parametrize("key,failures,text", [
+    # Every product equal: each word outside the empty word's component splits a class.
+    (lambda w: "", 120, r"equal products split across components near '.+'"),
+    # Products told apart by their literal letters: components holding two spellings mix.
+    (lambda w: str(w.letters), 11, r"component of '.+' mixes distinct products"),
+], ids=["one-key", "letter-keys"])
+def test_embedding_failures_name_the_broken_direction(monkeypatch, key, failures, text):
+    monkeypatch.setattr(verify, "canonical_key", key)
+    rep = suite_embedding(3)
+    assert (rep["ok"], rep["checks"], len(rep["failures"])) == (False, 121, failures)
+    assert all(re.fullmatch(text, msg) for msg in rep["failures"])
 
 
 def test_embedding_default_corpus_lengths():
@@ -100,6 +115,19 @@ def test_run_suite_passes_only_the_caps_given():
     rep = run_suite("conjugated-split", 3, size_cap=7)
     assert (rep["depthCap"], rep["sizeCap"]) == (8, 7)
     assert run_suite("twist-closure", 3, depth_cap=1)["size"] == 87
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_run_suite_calls_the_suite_bound_at_call_time(monkeypatch, name):
+    # A wrapper set on the module later (the benchmark's tracer) must be the one that runs.
+    calls = []
+    monkeypatch.setattr(verify, "suite_" + name.replace("-", "_"),
+                        lambda n, **options: calls.append((n, options)))
+    run_suite(name, 4, seed=5, depth_cap=6, size_cap=7)
+    options = {"twist-closure": {"seed": 5, "size_cap": 7},
+               "conjugated-split": {"depth_cap": 6, "size_cap": 7},
+               "action-axioms": {"seed": 5}}.get(name, {})
+    assert calls == [(4, options)]
 
 
 def test_run_suite_rejects_an_unknown_name():

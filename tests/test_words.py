@@ -4,7 +4,7 @@ import pytest
 
 from braidkit.words import (
     BraidWord,
-    WordError,
+    InputError,
     compose,
     compose_all,
     conjugate,
@@ -27,20 +27,20 @@ def test_parse_and_format_round_trip():
 
 
 def test_parse_rejects_bad_tokens():
-    with pytest.raises(WordError):
+    with pytest.raises(InputError):
         parse_word("1 x", 3)
-    with pytest.raises(WordError):
+    with pytest.raises(InputError):
         parse_word("0", 3)
-    with pytest.raises(WordError):
+    with pytest.raises(InputError):
         parse_word("3", 3)
-    with pytest.raises(WordError):
+    with pytest.raises(InputError):
         parse_word("1", 1)
 
 
 def test_constructor_validates_letters():
-    with pytest.raises(WordError):
+    with pytest.raises(InputError):
         BraidWord(3, ((3, 1),))
-    with pytest.raises(WordError):
+    with pytest.raises(InputError):
         BraidWord(3, ((1, 2),))
 
 
@@ -64,12 +64,12 @@ def test_compose_reduces_at_the_seam():
 
 
 def test_compose_rejects_mismatched_strands():
-    with pytest.raises(WordError):
+    with pytest.raises(InputError):
         compose(parse_word("1", 3), parse_word("1", 4))
 
 
 def test_compose_all_matches_stepwise_compose():
-    with pytest.raises(WordError):
+    with pytest.raises(InputError):
         compose_all(3, [parse_word("1", 3), parse_word("1", 4)])
     rng = random.Random(2718)
     for _ in range(50):
