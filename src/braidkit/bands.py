@@ -110,9 +110,15 @@ def expand(a: BandGenerator) -> BraidWord:
     return BraidWord(a.n, tuple(letters))
 
 
+def _expansions(w: BandWord) -> list[BraidWord]:
+    """The expansion of each letter of w, each distinct letter expanded once."""
+    expanded = {a: expand(a) for a in set(w.letters)}
+    return [expanded[a] for a in w.letters]
+
+
 def expand_word(w: BandWord) -> BraidWord:
     """Expansion of a band word, freely reduced."""
-    return compose_all(w.n, map(expand, w.letters))
+    return compose_all(w.n, _expansions(w))
 
 
 class PairClass(enum.Enum):
@@ -199,7 +205,7 @@ class Factorization:
 
 def band_factorization(w: BandWord) -> Factorization:
     """One expanded factor per band letter."""
-    return Factorization(w.n, tuple(expand(a) for a in w.letters))
+    return Factorization(w.n, tuple(_expansions(w)))
 
 
 def standard_factorization(n: int) -> Factorization:

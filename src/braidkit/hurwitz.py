@@ -4,7 +4,14 @@ The move R_k replaces the adjacent factors (t_k, t_{k+1}) by
 (t_k t_{k+1} t_k^-1, t_k); its inverse replaces them by
 (t_{k+1}, t_{k+1}^-1 t_k t_{k+1}).  Both leave the ordered product
 unchanged, so the moves act on the set of factorizations of a fixed
-braid.  Positions are 1-based.
+braid.  Positions are 1-based.  `apply_sequence` returns freely
+reduced words, on which the moves act exactly: the Hurwitz action
+obeys the braid relations over any group, the free group on the
+letters included (Artin), and a free-group element has exactly one
+freely reduced word.  So R_k then R_k^-1, R_k R_{k+1} R_k against
+R_{k+1} R_k R_{k+1}, and far moves in either order give factors equal
+letter for letter, and the freely reduced product of the factors
+never changes.
 
 `tuple_key` is the public key of one `Factorization`: the per-factor
 canonical keys joined with ";", so two factorizations share a key
@@ -122,20 +129,25 @@ def _move_pair(x, y, direction: int, conjugate) -> tuple:
 
     That is (x y x^-1, x) forward and (y, y^-1 x y) backward, with
     conjugate(h, m, sign) giving h^sign m h^-sign in whatever stands for
-    a factor: words in `apply_sequence`, ids in a search's move table.
+    a factor: letter tuples in `apply_sequence`, ids in a search's move
+    table.
     """
     if direction == 1:
         return conjugate(x, y, 1), x
     return y, conjugate(y, x, -1)
 
 
-def _conjugate_word(h: BraidWord, m: BraidWord, sign: int) -> BraidWord:
-    """h^sign m h^-sign, for valid, freely reduced words h and m."""
-    # The new factor is then one free reduction of their letters, and the
-    # word skips re-validating.
-    inv = _inverse(h.letters)
-    head, tail = (h.letters, inv) if sign == 1 else (inv, h.letters)
-    return _unchecked(BraidWord, n=h.n, letters=_reduce(head + m.letters + tail))
+def _conjugate_letters(h: tuple, m: tuple, sign: int) -> tuple:
+    """The letters of h^sign m h^-sign, for the letters of valid, freely reduced words.
+
+    The result is one free reduction of their concatenation, so it is
+    freely reduced and its letters valid.  This is the one conjugation
+    behind every move: `apply_sequence` calls it on each move's letters,
+    and a search's move table on the words of new factors.
+    """
+    inv = _inverse(h)
+    head, tail = (h, inv) if sign == 1 else (inv, h)
+    return _reduce(head + m + tail)
 
 
 def apply_move(f: Factorization, m: Move) -> Factorization:
@@ -143,14 +155,23 @@ def apply_move(f: Factorization, m: Move) -> Factorization:
 
 
 def apply_sequence(f: Factorization, moves) -> Factorization:
-    factors = list(f.factors)
+    """f moved by each of the moves in turn, its factors freely reduced.
+
+    The moves act on letter tuples, and a factor whose letters changed
+    is wrapped in a `BraidWord` once, at the end; one left in place is
+    passed through as it is.
+    """
+    factors = [w.letters for w in f.factors]
     for idx, m in enumerate(moves):
         if m.k > len(factors) - 1:
             raise InputError(f"move {idx + 1} of the sequence: move {m} out of range "
                             f"for a factorization of length {len(factors)}")
         i = m.k - 1
-        factors[i : i + 2] = _move_pair(factors[i], factors[i + 1], m.direction, _conjugate_word)
-    return _unchecked(Factorization, n=f.n, factors=tuple(factors))
+        factors[i : i + 2] = _move_pair(factors[i], factors[i + 1], m.direction,
+                                        _conjugate_letters)
+    moved = tuple(w if w.letters is letters else _unchecked(BraidWord, n=f.n, letters=letters)
+                  for w, letters in zip(f.factors, factors))
+    return _unchecked(Factorization, n=f.n, factors=moved)
 
 
 def tuple_key(f: Factorization) -> str:
@@ -278,8 +299,9 @@ class _FactorTable(dict):
     of x y x^-1 is the stored vector of x acted on by the letters of y
     and x^-1, and that of y^-1 x y the stored vector of y^-1 acted on by
     those of x and y, so a fill acts with |x| + |y| letters per
-    direction.  A new factor's word is reduced and kept only when its
-    vector is new, and no fill computes a normal form.  An id past
+    direction.  A new factor's word is built by `_conjugate_letters`,
+    the conjugation `apply_sequence` uses, and kept only when its vector
+    is new, and no fill computes a normal form.  An id past
     `_MAX_CELL` raises `InputError`.
     """
 
@@ -326,7 +348,8 @@ class _FactorTable(dict):
         vector = act(start, self.words[m].letters + tail)
         fid = self.ids.get(vector)
         if fid is None:
-            word = _conjugate_word(self.words[h], self.words[m], sign)
+            letters = _conjugate_letters(self.words[h].letters, self.words[m].letters, sign)
+            word = _unchecked(BraidWord, n=self.n, letters=letters)
             fid = self._add(word, vector, act(start, self.inverses[m] + tail))
         return fid
 

@@ -141,6 +141,44 @@ def test_chain_relation_realized_by_one_move():
     assert tuple_key(apply_move(src, Move(1, 1))) == tuple_key(dst)
 
 
+@st.composite
+def factorizations(draw):
+    """Two to six factors of up to six letters each, on 3-6 strands."""
+    n = draw(st.integers(3, 6))
+    letter = st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1)))
+    words = draw(st.lists(st.lists(letter, max_size=6), min_size=2, max_size=6))
+    return Factorization(n, tuple(BraidWord(n, tuple(w)) for w in words))
+
+
+def letters(f):
+    return [w.letters for w in f.factors]
+
+
+@settings(max_examples=300, deadline=None)
+@given(factorizations(), st.data())
+def test_moves_act_on_freely_reduced_words_exactly(f, data):
+    # The Hurwitz action obeys the braid relations over the free group on
+    # the letters, where each element has one freely reduced word, so the
+    # move axioms hold letter for letter; verify's action-axioms suite
+    # relies on this to skip normal forms.
+    sign = st.sampled_from((1, -1))
+    k, d = data.draw(st.integers(1, len(f) - 1)), data.draw(sign)
+    assert letters(apply_sequence(f, [Move(k, d), Move(k, -d)])) == letters(f)
+    if len(f) >= 3:
+        k = data.draw(st.integers(1, len(f) - 2))
+        lhs = apply_sequence(f, [Move(k, 1), Move(k + 1, 1), Move(k, 1)])
+        rhs = apply_sequence(f, [Move(k + 1, 1), Move(k, 1), Move(k + 1, 1)])
+        assert letters(lhs) == letters(rhs)
+    if len(f) >= 4:
+        i = data.draw(st.integers(1, len(f) - 3))
+        j = data.draw(st.integers(i + 2, len(f) - 1))
+        a, b = Move(i, data.draw(sign)), Move(j, data.draw(sign))
+        assert letters(apply_sequence(f, [a, b])) == letters(apply_sequence(f, [b, a]))
+    moves = data.draw(st.lists(st.builds(Move, st.integers(1, len(f) - 1), sign), max_size=10))
+    moved = apply_sequence(f, moves)
+    assert compose_all(f.n, moved.factors).letters == compose_all(f.n, f.factors).letters
+
+
 def test_apply_move_position_out_of_range():
     f = fact(3, "1", "2")
     with pytest.raises(InputError, match="move 1 of the sequence: move R2 out of range"):

@@ -4,10 +4,11 @@ import re
 
 import pytest
 
-from braidkit import freegroup, verify
+from braidkit import freegroup, hurwitz, normalform, verify
 from braidkit.bands import BandWord
 from braidkit.hurwitz import PathResult, ReplayError
 from braidkit.verify import SUITE_NAMES, run_suite, suite_conjugated_split, suite_embedding
+from braidkit.words import _inverse
 
 
 @pytest.mark.parametrize("n,max_len,checks,classes", [
@@ -149,3 +150,50 @@ def test_action_axioms_pass_with_far_commutation_from_4_strands(n, checks):
     # one more per braid relation, far-commuting pair and cancellation.
     rep = run_suite("action-axioms", n)
     assert (rep["ok"], rep["inconclusive"], rep["checks"]) == (True, False, checks)
+
+
+def test_action_axioms_fail_when_the_forward_move_conjugates_the_wrong_way(monkeypatch):
+    # R_k leaves (x^-1 y x, x) in place of (x y x^-1, x); R_k^-1 is unchanged.
+    real = hurwitz._conjugate_letters
+    monkeypatch.setattr(hurwitz, "_conjugate_letters",
+                        lambda h, m, sign: real(h, m, -1 if sign == 1 else sign))
+    rep = run_suite("action-axioms", 3)
+    assert (rep["ok"], rep["checks"]) == (False, 842)
+    assert "a move composed with its inverse is not the identity" in rep["failures"]
+
+
+def test_action_axioms_fall_back_to_keys_when_moved_words_are_not_reduced(monkeypatch):
+    # The moves stay correct as braids, but where a conjugation cancels
+    # their words differ letter by letter, and the keys must decide.
+    def unreduced(h, m, sign):
+        inv = _inverse(h)
+        return h + m + inv if sign == 1 else inv + m + h
+
+    keyed = []
+
+    def counted(f):
+        keyed.append(f)
+        return real(f)
+
+    real = verify.tuple_key
+    monkeypatch.setattr(hurwitz, "_conjugate_letters", unreduced)
+    monkeypatch.setattr(verify, "tuple_key", counted)
+    rep = run_suite("action-axioms", 3)
+    assert (rep["ok"], rep["checks"]) == (True, 842)
+    assert keyed
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_passing_action_axioms_compute_no_normal_form(monkeypatch, n):
+    # Correct moves give equal freely reduced words, so no key is needed.
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return real(w)
+
+    real = normalform.normal_form
+    normalform._cached_key.cache_clear()
+    monkeypatch.setattr(normalform, "normal_form", counted)
+    rep = run_suite("action-axioms", n)
+    assert rep["ok"] and calls == []
