@@ -177,8 +177,9 @@ def delta_squared_word(n: int) -> BraidWord:
 class Factorization:
     """An ordered tuple of braid-word factors with a fixed product.
 
-    Factors are stored freely reduced; the canonical key of the ordered
-    product and the per-factor keys are computed on first use and cached.
+    Factors are stored freely reduced, and a factor that already is one
+    is kept as the same object; the canonical key of the ordered product
+    and the per-factor keys are computed on first use and cached.
     """
 
     n: int

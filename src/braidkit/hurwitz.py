@@ -114,16 +114,6 @@ def move_from_int(v: int) -> Move:
     return Move(abs(v), 1 if v > 0 else -1)
 
 
-def _unchecked(cls, **fields):
-    """A frozen `cls(**fields)` built without its checks, for fields known to pass them."""
-    out = object.__new__(cls)
-    # Set each field rather than update __dict__: that would give every
-    # instance its own dict, and the kept words would hold more memory.
-    for name, value in fields.items():
-        object.__setattr__(out, name, value)
-    return out
-
-
 def _move_pair(x, y, direction: int, conjugate) -> tuple:
     """The pair R^direction leaves of the adjacent factors (x, y).
 
@@ -159,7 +149,8 @@ def apply_sequence(f: Factorization, moves) -> Factorization:
 
     The moves act on letter tuples, and a factor whose letters changed
     is wrapped in a `BraidWord` once, at the end; one left in place is
-    passed through as it is.
+    passed through as it is.  The result goes through the
+    `Factorization` constructor, which keeps these reduced words.
     """
     factors = [w.letters for w in f.factors]
     for idx, m in enumerate(moves):
@@ -169,9 +160,9 @@ def apply_sequence(f: Factorization, moves) -> Factorization:
         i = m.k - 1
         factors[i : i + 2] = _move_pair(factors[i], factors[i + 1], m.direction,
                                         _conjugate_letters)
-    moved = tuple(w if w.letters is letters else _unchecked(BraidWord, n=f.n, letters=letters)
+    moved = tuple(w if w.letters is letters else BraidWord(f.n, letters)
                   for w, letters in zip(f.factors, factors))
-    return _unchecked(Factorization, n=f.n, factors=moved)
+    return Factorization(f.n, moved)
 
 
 def tuple_key(f: Factorization) -> str:
@@ -349,7 +340,7 @@ class _FactorTable(dict):
         fid = self.ids.get(vector)
         if fid is None:
             letters = _conjugate_letters(self.words[h].letters, self.words[m].letters, sign)
-            word = _unchecked(BraidWord, n=self.n, letters=letters)
+            word = BraidWord(self.n, letters)
             fid = self._add(word, vector, act(start, self.inverses[m] + tail))
         return fid
 
@@ -412,7 +403,7 @@ def orbit_explore(
     if parent is not None:
         i = step[0] - 1
         words = tuple(map(table.words.__getitem__, _decode(parent)))
-        moved = apply_move(_unchecked(Factorization, n=f.n, factors=words), Move(*step))
+        moved = apply_move(Factorization(f.n, words), Move(*step))
         kept = map(table.words.__getitem__, _decode(last[i : i + 2]))
         check_replay(tuple(map(canonical_key, moved.factors[i : i + 2])),
                      tuple(map(canonical_key, kept)), "orbit move")

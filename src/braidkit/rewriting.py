@@ -53,7 +53,6 @@ from .hurwitz import (
     SearchTree,
     _decode,
     _encode,
-    _unchecked,
     apply_sequence,
     check_replay,
 )
@@ -168,10 +167,8 @@ def _tree(w: BandWord) -> SearchTree:
 
 def unpack(n: int, word: str) -> BandWord:
     """The band word of a packed word (see `_pack`), a state of `closure_tree`."""
-    # Packed letters come from valid band words on n strands, so the
-    # word skips re-validating them.
     gens = _letter_table(n)[0]
-    return _unchecked(BandWord, n=n, letters=tuple(map(gens.__getitem__, _decode(word))))
+    return BandWord(n, tuple(map(gens.__getitem__, _decode(word))))
 
 
 def neighbors(w: BandWord) -> tuple[tuple[BandWord, RelationStep], ...]:

@@ -114,7 +114,9 @@ def _inverse(letters: tuple) -> tuple:
 
 
 def free_reduce(w: BraidWord) -> BraidWord:
-    return BraidWord(w.n, _reduce(w.letters))
+    """w freely reduced: w itself when no letter cancels, else a new word."""
+    letters = _reduce(w.letters)
+    return w if len(letters) == len(w.letters) else BraidWord(w.n, letters)
 
 
 def compose(u: BraidWord, v: BraidWord) -> BraidWord:

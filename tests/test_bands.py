@@ -14,6 +14,7 @@ from braidkit.bands import (
     expand_word,
     is_central,
     parse_band_word,
+    standard_band_word,
     standard_factorization,
 )
 from braidkit.normalform import canonical_key, equal
@@ -144,10 +145,28 @@ def test_is_central():
 
 
 def test_factorization_reduces_factors_and_keys():
-    f = Factorization(3, (parse_word("1 -1 2", 3), parse_word("1", 3)))
+    reduced = parse_word("1", 3)
+    f = Factorization(3, (parse_word("1 -1 2", 3), reduced))
     assert format_word(f.factors[0]) == "2"
+    assert f.factors[1] is reduced
     assert f.product_key == canonical_key(parse_word("2 1", 3))
     assert len(f.factor_keys) == 2
+
+
+def test_band_factorization_validates_each_distinct_expansion_once(monkeypatch):
+    # Factorization keeps the reduced expansions as they are: 7 distinct
+    # letters at 8 strands, so 7 words checked, not one per factor.
+    checked = []
+    real = BraidWord.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        real(self)
+
+    w = standard_band_word(8)
+    monkeypatch.setattr(BraidWord, "__post_init__", counted)
+    f = band_factorization(w)
+    assert (len(f), len(checked)) == (56, 7)
 
 
 def test_factorization_rejects_strand_mismatch():

@@ -160,8 +160,10 @@ def test_orbit_json_deterministic(capsys):
 
 def run_process(*argv, **env):
     """Exit code and stdout of `braidkit` in a new interpreter, killed after 120 s."""
+    # src first, then the caller's path, so packages found through it stay importable.
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "braidkit.cli", *argv], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=SRC, **env), timeout=120)
+                          text=True, env=dict(os.environ, PYTHONPATH=path, **env), timeout=120)
     return proc.returncode, proc.stdout
 
 

@@ -142,7 +142,8 @@ def test_a_fixed_sample_keeps_the_exit_contract_under_python_O():
     import braidkit
 
     src = os.path.dirname(os.path.dirname(braidkit.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-O", "-c", REPLAY, os.path.dirname(__file__)],
         capture_output=True, text=True, env=env, timeout=120,

@@ -17,8 +17,9 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(braidkit.__path__))
 
 def fresh_python(code: str) -> str:
     """Standard output of `code` run in a new interpreter that imports from src/."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

@@ -173,7 +173,8 @@ expect_replay_error("suite_twist_closure", lambda: verify.suite_twist_closure(3)
 
 def test_corrupted_replays_raise_under_python_O():
     src = os.path.dirname(os.path.dirname(braidkit.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-O", "-c", CORRUPTED_REPLAYS],
         capture_output=True, text=True, env=env, timeout=120,

@@ -8,7 +8,6 @@ from braidkit import freegroup, hurwitz, normalform, verify
 from braidkit.bands import BandWord
 from braidkit.hurwitz import PathResult, ReplayError
 from braidkit.verify import SUITE_NAMES, run_suite, suite_conjugated_split, suite_embedding
-from braidkit.words import _inverse
 
 
 @pytest.mark.parametrize("n,max_len,checks,classes", [
@@ -162,21 +161,21 @@ def test_action_axioms_fail_when_the_forward_move_conjugates_the_wrong_way(monke
     assert "a move composed with its inverse is not the identity" in rep["failures"]
 
 
-def test_action_axioms_fall_back_to_keys_when_moved_words_are_not_reduced(monkeypatch):
-    # The moves stay correct as braids, but where a conjugation cancels
-    # their words differ letter by letter, and the keys must decide.
-    def unreduced(h, m, sign):
-        inv = _inverse(h)
-        return h + m + inv if sign == 1 else inv + m + h
-
+def test_action_axioms_fall_back_to_keys_when_moved_words_differ_letter_by_letter(monkeypatch):
+    # Each conjugated factor gains a freely reduced word that is trivial
+    # as a braid, s1 s2 s1 s2^-1 s1^-1 s2^-1.  The moves stay correct as
+    # braids, but their words differ letter by letter, and the keys must
+    # decide.
+    relator = ((1, 1), (2, 1), (1, 1), (2, -1), (1, -1), (2, -1))
     keyed = []
 
     def counted(f):
         keyed.append(f)
-        return real(f)
+        return real_key(f)
 
-    real = verify.tuple_key
-    monkeypatch.setattr(hurwitz, "_conjugate_letters", unreduced)
+    real_key, real = verify.tuple_key, hurwitz._conjugate_letters
+    monkeypatch.setattr(hurwitz, "_conjugate_letters",
+                        lambda h, m, sign: real(h, m + relator, sign))
     monkeypatch.setattr(verify, "tuple_key", counted)
     rep = run_suite("action-axioms", 3)
     assert (rep["ok"], rep["checks"]) == (True, 842)

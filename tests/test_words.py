@@ -54,6 +54,8 @@ def test_parse_does_not_reduce():
 def test_free_reduce_cancels_through():
     w = parse_word("1 2 -2 -1 1", 3)
     assert format_word(free_reduce(w)) == "1"
+    reduced = parse_word("1 2 -1", 3)
+    assert free_reduce(reduced) is reduced
 
 
 def test_compose_reduces_at_the_seam():
