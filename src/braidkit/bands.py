@@ -164,6 +164,7 @@ def chain_forms(n: int, t: int, s: int, r: int) -> dict[str, tuple[BandGenerator
 
 def standard_band_word(n: int) -> BandWord:
     """The full twist as the band word (a_{2,1} a_{3,2} ... a_{n,n-1})^n."""
+    _check_strands(n)
     row = tuple(BandGenerator(n, i + 1, i) for i in range(1, n))
     return BandWord(n, row * n)
 

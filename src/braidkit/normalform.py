@@ -13,8 +13,12 @@ for a pure braid; Artin, 1947).  Every braid relation and free
 cancellation leaves that data unchanged, and the counts add up to the
 exponent sum, so words whose data differ are different braids, which
 one pass over the letters shows, and only pairs whose data agree reach
-the normal form.  `equal` compares their `NormalForm` values, with no
-key strings.
+the normal form.  Even those reach it only where they differ: both
+words are freely reduced and their longest common prefix and suffix
+are cancelled (in a group p a s = p b s exactly when a = b), so words
+that differ by a few local edits normalize only the stretch between
+the first and the last edit.  `equal` compares the `NormalForm` values
+of what is left, with no key strings.
 
 One forward pass cuts the word into maximal simple chunks of one sign.
 A positive chunk is one factor; a negative chunk borrows one Delta^-1
@@ -44,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import BraidWord, Perm, _inverse, delta_word
+from .words import BraidWord, Perm, _inverse, delta_word, free_reduce
 
 
 @dataclass(frozen=True)
@@ -234,17 +238,42 @@ def _crossings(w: BraidWord) -> tuple[list[int], list[int]]:
     return labels, counts
 
 
+def _middles(u: BraidWord, v: BraidWord) -> tuple[BraidWord, BraidWord]:
+    """u and v without their longest common prefix, then common suffix.
+
+    The suffix scan stops where the prefix ended, so the two never
+    overlap: "1 1" against "1" leaves "1" and the empty word.  The words
+    come back as they are when they share neither end.
+    """
+    a, b = u.letters, v.letters
+    room = min(len(a), len(b))
+    start = 0
+    while start < room and a[start] == b[start]:
+        start += 1
+    room -= start
+    end = 0
+    while end < room and a[-1 - end] == b[-1 - end]:
+        end += 1
+    if not (start or end):
+        return u, v
+    return BraidWord(u.n, a[start:len(a) - end]), BraidWord(v.n, b[start:len(b) - end])
+
+
 def equal(u: BraidWord, v: BraidWord) -> bool:
     """Decide equality in the braid group.
 
     Different strand counts, permutations or strand-pair crossing counts
-    (the image in B_n/[P_n, P_n]) decide "not equal" at once; only words
-    that agree on all three are compared by their normal forms, as
-    `NormalForm` values, without building key strings.
+    (the image in B_n/[P_n, P_n]) decide "not equal" at once.  Words
+    that agree on all three are freely reduced and their longest common
+    prefix and suffix are cancelled, since p a s = p b s exactly when
+    a = b.  Identical middles (both empty) are equal; others are
+    compared by their normal forms, as `NormalForm` values, without
+    building key strings.
     """
     if u.n != v.n or _crossings(u) != _crossings(v):
         return False
-    return normal_form(u) == normal_form(v)
+    u, v = _middles(free_reduce(u), free_reduce(v))
+    return u.letters == v.letters or normal_form(u) == normal_form(v)
 
 
 def canonical_key(w: BraidWord) -> str:

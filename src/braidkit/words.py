@@ -29,9 +29,17 @@ class InputError(ValueError):
     """Malformed input, from the input checks of every module; the CLI exits 3 on it."""
 
 
+# Larger strand counts are rejected before anything is built, so a huge
+# count is an input error, not exhausted memory.  `delta2 --strands 2048`
+# takes about 4 s.
+MAX_STRANDS = 2048
+
+
 def _check_strands(n: int) -> None:
     if n < 2:
         raise InputError(f"strand count must be at least 2, got {n}")
+    if n > MAX_STRANDS:
+        raise InputError(f"strand count must be at most {MAX_STRANDS}, got {n}")
 
 
 @dataclass(frozen=True)

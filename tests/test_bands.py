@@ -1,5 +1,6 @@
 import pytest
 
+from braidkit import bands
 from braidkit.bands import (
     BandGenerator,
     BandWord,
@@ -19,6 +20,7 @@ from braidkit.bands import (
 )
 from braidkit.normalform import canonical_key, equal
 from braidkit.words import (
+    MAX_STRANDS,
     BraidWord,
     InputError,
     exponent_sum,
@@ -186,6 +188,14 @@ def test_band_word_needs_two_strands():
             BandWord(n)
         with pytest.raises(InputError):
             parse_band_word("", n)
+
+
+def test_standard_band_word_checks_strands_before_building(monkeypatch):
+    built = []
+    monkeypatch.setattr(bands, "BandGenerator", lambda *args: built.append(args))
+    with pytest.raises(InputError):
+        standard_band_word(MAX_STRANDS + 1)
+    assert built == []
 
 
 def test_band_factorization():

@@ -2,8 +2,10 @@ import inspect
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -158,13 +160,38 @@ def test_orbit_json_deterministic(capsys):
     assert payload["depthCap"] is None
 
 
-def run_process(*argv, **env):
-    """Exit code and stdout of `braidkit` in a new interpreter, killed after 120 s."""
+def spawn(argv, env=None, **options):
+    """`braidkit` run in a new interpreter, killed after 120 s."""
     # src first, then the caller's path, so packages found through it stay importable.
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-m", "braidkit.cli", *argv], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path, **env), timeout=120)
+    return subprocess.run([sys.executable, "-m", "braidkit.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path, **(env or {})),
+                          timeout=120, **options)
+
+
+def run_process(*argv, **env):
+    """Exit code and stdout of `braidkit` in a new interpreter."""
+    proc = spawn(argv, env)
     return proc.returncode, proc.stdout
+
+
+def cap_memory():
+    # 1 GB of address space: a strand check that came too late fails
+    # with MemoryError rather than filling the machine.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ("nf", "--strands", str(10**21), "1"),
+    ("delta2", "--strands", str(10**8)),
+    ("hurwitz-apply", json.dumps({"strands": 10**6, "factors": ["1", "2"]}), "[1]"),
+], ids=["nf", "delta2", "hurwitz-apply"])
+def test_oversized_strand_counts_exit_3_at_once(argv):
+    start = time.perf_counter()
+    proc = spawn(argv, preexec_fn=cap_memory)
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: strand count must be at most 2048, got ")
 
 
 # The standard 3-strand factorization of the full twist has an infinite

@@ -23,6 +23,7 @@ from braidkit.words import (
     compose,
     conjugate,
     delta_word,
+    format_word,
     free_reduce,
     generator,
     inverse,
@@ -170,8 +171,8 @@ def letters_on(n):
 
 
 @st.composite
-def braid_words(draw):
-    n = draw(st.integers(2, 8))
+def braid_words(draw, strands=(2, 8)):
+    n = draw(st.integers(*strands))
     return BraidWord(n, tuple(draw(letters_on(n))))
 
 
@@ -205,9 +206,9 @@ def test_normal_form_is_left_weighted_and_spells_the_braid(w):
 
 
 @st.composite
-def word_pairs(draw):
+def word_pairs(draw, strands=(2, 8)):
     """Equal, one-letter-flipped, reordered, unrelated and cross-strand pairs."""
-    u = draw(braid_words())
+    u = draw(braid_words(strands))
     n, letters = u.n, list(u.letters)
     kind = draw(st.sampled_from(("equal", "flipped", "swapped", "unrelated", "strands")))
     if kind == "strands":
@@ -235,38 +236,71 @@ def test_equal_decides_as_the_canonical_keys_do(pair):
     assert equal(u, v) == (canonical_key(u) == canonical_key(v))
 
 
-def test_equal_skips_the_normal_form_when_exponent_sums_differ(monkeypatch):
+@settings(max_examples=300, deadline=None)
+@given(word_pairs(strands=(3, 6)), st.data())
+def test_equal_cancels_common_ends_exactly(pair, data):
+    # Free reduction can join p or s to a or b, so what `equal` strips
+    # need not be p and s.
+    a, b = pair
+    p, s = (tuple(data.draw(letters_on(a.n))) for _ in range(2))
+    u, v = BraidWord(a.n, p + a.letters + s), BraidWord(b.n, p + b.letters + s)
+    assert equal(u, v) == (canonical_key(a) == canonical_key(b))
+
+
+@pytest.mark.parametrize("u, v, expected", [
+    # A suffix scan that ran into the prefix would take the one letter of
+    # the short word twice: it would leave "1 1" and "1" nothing, and
+    # leave s2 s1 s2^-1 s1^-1 s2^-1, which is s1^-1, against nothing.
+    ("1 1", "1", False),
+    ("1 2", "1 2 1 -1", True),
+    ("1", "1 2 -2", True),
+    ("1 2 1 -2 -1 -2 1", "1", True),
+])
+def test_equal_never_cancels_a_letter_twice(u, v, expected):
+    assert equal(parse_word(u, 3), parse_word(v, 3)) is expected
+    assert equal(parse_word(v, 3), parse_word(u, 3)) is expected
+
+
+@pytest.fixture
+def normal_forms(monkeypatch):
+    """The words `normal_form` is called on, with the key cache cleared."""
     calls = []
+    real = normalform.normal_form
 
     def counted(w):
         calls.append(w)
         return real(w)
 
-    real = normalform.normal_form
     normalform._cached_key.cache_clear()
     monkeypatch.setattr(normalform, "normal_form", counted)
-    assert not equal(parse_word("1 2", 3), parse_word("1 -2", 3))
-    assert len(calls) == 0
-    assert equal(parse_word("1 2 1", 3), parse_word("2 1 2", 3))
-    assert len(calls) == 2
+    return calls
 
 
-def test_equal_skips_the_normal_form_when_crossing_counts_differ(monkeypatch):
-    calls = []
-
-    def counted(w):
-        calls.append(w)
-        return real(w)
-
-    real = normalform.normal_form
-    normalform._cached_key.cache_clear()
-    monkeypatch.setattr(normalform, "normal_form", counted)
+@pytest.mark.parametrize("u, v", [
+    ("1 2", "1 -2"),
     # A pure commutator: exponent sum 0 and trivial permutation, but
     # strands 1, 3 cross twice more and strands 2, 3 twice less.
-    assert not equal(parse_word("1 2 2 -1 -2 -2", 3), BraidWord(3))
-    assert len(calls) == 0
+    ("1 2 2 -1 -2 -2", ""),
+], ids=["exponent-sum", "pure-commutator"])
+def test_equal_skips_the_normal_form_when_crossing_counts_differ(normal_forms, u, v):
+    assert not equal(parse_word(u, 3), parse_word(v, 3))
+    assert len(normal_forms) == 0
     assert equal(parse_word("1 2 1", 3), parse_word("2 1 2", 3))
-    assert len(calls) == 2
+    assert len(normal_forms) == 2
+
+
+def test_equal_computes_no_normal_form_for_a_free_pair(normal_forms):
+    u = parse_word("1 2 -3 2 1", 4)
+    assert equal(u, parse_word("1 2 -3 3 -3 2 1", 4))
+    assert equal(parse_word("-1 1 1 2 -3 2 1", 4), u)
+    assert normal_forms == []
+
+
+def test_equal_normalizes_only_where_the_words_differ(normal_forms):
+    # Positive words: nothing cancels, so only the middles differ.
+    p, s = "1 2 3 " * 10, " 3 2 1" * 10
+    assert equal(parse_word(p + "1 2 1" + s, 4), parse_word(p + "2 1 2" + s, 4))
+    assert [format_word(w) for w in normal_forms] == ["1 2 1", "2 1 2"]
 
 
 def test_crossings_of_a_pure_commutator():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from braidkit.words import (
+    MAX_STRANDS,
     BraidWord,
     InputError,
     compose,
@@ -35,6 +36,15 @@ def test_parse_rejects_bad_tokens():
         parse_word("3", 3)
     with pytest.raises(InputError):
         parse_word("1", 1)
+
+
+def test_strand_count_is_bounded():
+    assert BraidWord(MAX_STRANDS).n == MAX_STRANDS
+    for n in (MAX_STRANDS + 1, 10**21):
+        with pytest.raises(InputError, match=f"at most {MAX_STRANDS}, got {n}"):
+            BraidWord(n)
+        with pytest.raises(InputError, match=f"at most {MAX_STRANDS}, got {n}"):
+            parse_word("1", n)
 
 
 def test_constructor_validates_letters():
