@@ -67,7 +67,7 @@ from functools import cached_property
 from .bands import Factorization
 from .freegroup import act
 from .normalform import canonical_key
-from .words import BraidWord, InputError, _inverse, _reduce
+from .words import BraidWord, InputError, _conjugate_letters, _inverse
 
 
 DEFAULT_SIZE_CAP = 50_000
@@ -127,19 +127,6 @@ def _move_pair(x, y, direction: int, conjugate) -> tuple:
     return y, conjugate(y, x, -1)
 
 
-def _conjugate_letters(h: tuple, m: tuple, sign: int) -> tuple:
-    """The letters of h^sign m h^-sign, for the letters of valid, freely reduced words.
-
-    The result is one free reduction of their concatenation, so it is
-    freely reduced and its letters valid.  This is the one conjugation
-    behind every move: `apply_sequence` calls it on each move's letters,
-    and a search's move table on the words of new factors.
-    """
-    inv = _inverse(h)
-    head, tail = (h, inv) if sign == 1 else (inv, h)
-    return _reduce(head + m + tail)
-
-
 def apply_move(f: Factorization, m: Move) -> Factorization:
     return apply_sequence(f, (m,))
 
@@ -192,7 +179,8 @@ class SearchTree:
     neighbours are its single pair rewrites: at each position, left to
     right, `pairs(state[i:i+2])` lists the (replacement pair, label)
     rewrites in search order, and `grow` is the one loop that walks
-    them.  A step is (1-based position, label).  `parents` maps each
+    them.  A step is (1-based position, label): the fields of a `Move`
+    here, and in `rewriting` the relation step itself.  `parents` maps each
     visited state to (parent, step), with (None, None) at the root,
     which is always held; `frontier` holds the newest layer, `layers`
     each non-empty layer's size from the root's 1, and `capped` records

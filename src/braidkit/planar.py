@@ -333,7 +333,8 @@ def band_subgraph_map(n: int, generators) -> CombMap:
     stops: dict[BandGenerator, list[str]] = {a: [f"p{a.s}"] for a in gens}
     for k, point in enumerate(sorted(crossing_at)):
         if len(crossing_at[point]) > 2:
-            raise InputError("three chords through one point; layout degenerate")
+            # `_abscissae` rules this out, so it is a fault, not bad input.
+            raise RuntimeError("three chords through one point; layout degenerate")
         vertices.append(Vertex(f"c{k}", "crossing"))
         for a in crossing_at[point]:
             stops[a].append(f"c{k}")

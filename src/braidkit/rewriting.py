@@ -18,12 +18,13 @@ dict's `__getitem__` is the tree's `pairs`.  The per-n tables hold only
 the letters and pairs a search meets, so a search on many strands builds
 no table of all C(n,2) letters.  `neighbors` reads one unbounded `grow`
 of a fresh tree, the same neighbour loop every search runs.
-`BandWord`s are built only for results, and a found path's steps only
-to compile them: `hurwitz_path_positive` replays the moves and returns
-the `PathResult` of `hurwitz`.
+`BandWord`s are built only for results, and a found path's steps are
+compiled as the tree holds them: `hurwitz_path_positive` replays the
+moves and returns the `PathResult` of `hurwitz`.
 
-A step names the 1-based position of the left letter of the rewritten
-pair and one of seven rules.  The chain relation's three equal products
+A step is the (position, rule) pair a tree's parent links hold: the
+1-based position of the left letter of the rewritten pair and one of
+seven rules.  The chain relation's three equal products
 A = a_{t,s} a_{s,r}, B = a_{t,r} a_{t,s}, C = a_{s,r} a_{t,r} give six
 rules (A->B, B->C, C->A and their inverses); Comm swaps a commuting
 pair.  The cycle A -> B -> C -> A is exactly what one forward Hurwitz
@@ -65,18 +66,6 @@ _FORWARD = {"A->B", "B->C", "C->A", "Comm"}
 DEFAULT_WORD_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class RelationStep:
-    position: int
-    rule: str
-
-    def __post_init__(self) -> None:
-        if self.position < 1:
-            raise InputError(f"step position must be >= 1, got {self.position}")
-        if self.rule not in RULES:
-            raise InputError(f"unknown rule {self.rule!r}")
-
-
 def _rewrites(x: BandGenerator, y: BandGenerator) -> tuple:
     """The (replacement pair, rule) rewrites of the ordered pair x y, in RULES order.
 
@@ -95,16 +84,16 @@ def _rewrites(x: BandGenerator, y: BandGenerator) -> tuple:
     return tuple((forms[rule[-1]], rule) for rule in RULES if rule.startswith(here + "->"))
 
 
-def apply_step(w: BandWord, step: RelationStep) -> BandWord:
-    """Rewrite one adjacent pair of w according to the step's rule."""
-    i = step.position - 1
-    if i + 1 >= len(w.letters):
-        raise InputError(f"step position {step.position} out of range for length {len(w)}")
-    x, y = w.letters[i], w.letters[i + 1]
-    for pair, rule in _rewrites(x, y):
-        if rule == step.rule:
-            return BandWord(w.n, w.letters[:i] + pair + w.letters[i + 2 :])
-    raise InputError(f"rule {step.rule} does not apply to the {classify_pair(x, y).value} pair {x} {y}")
+def apply_step(w: BandWord, step: tuple[int, str]) -> BandWord:
+    """Rewrite one adjacent pair of w by the (position, rule) step."""
+    position, rule = step
+    if not 1 <= position < len(w.letters):
+        raise InputError(f"step position {position} out of range for length {len(w)}")
+    x, y = w.letters[position - 1 : position + 1]
+    for pair, name in _rewrites(x, y):
+        if name == rule:
+            return BandWord(w.n, w.letters[: position - 1] + pair + w.letters[position + 1 :])
+    raise InputError(f"rule {rule} does not apply to the {classify_pair(x, y).value} pair {x} {y}")
 
 
 def _pack(letters: tuple[BandGenerator, ...]) -> str:
@@ -171,13 +160,13 @@ def unpack(n: int, word: str) -> BandWord:
     return BandWord(n, tuple(map(gens.__getitem__, _decode(word))))
 
 
-def neighbors(w: BandWord) -> tuple[tuple[BandWord, RelationStep], ...]:
+def neighbors(w: BandWord) -> tuple[tuple[BandWord, tuple[int, str]], ...]:
     """Every single-relation rewrite of w (see `_rewrites`), with the step that produces it."""
     # No two rewrites of w give the same word and none gives w itself,
     # so one unbounded layer of the tree holds every rewrite.
     tree = _tree(w)
     return tuple(
-        (unpack(w.n, word), RelationStep(*tree.parents[word][1]))
+        (unpack(w.n, word), tree.parents[word][1])
         for word in tree.grow(None) if word is not None
     )
 
@@ -206,14 +195,17 @@ def equivalence_class(w: BandWord, size_cap: int = DEFAULT_WORD_CAP) -> ClosureR
     return ClosureResult(words, tree.capped)
 
 
-def step_to_move(step: RelationStep) -> Move:
-    """The Hurwitz move realizing a relation step on expanded factors.
+def step_to_move(step: tuple[int, str]) -> Move:
+    """The Hurwitz move realizing a (position, rule) step on expanded factors.
 
     Verified by algebra on the chain relation: a forward move conjugates
     the right factor by the left, which walks the cycle A -> B -> C -> A,
     and swaps a commuting pair in place.
     """
-    return Move(step.position, 1 if step.rule in _FORWARD else -1)
+    position, rule = step
+    if rule not in RULES:
+        raise InputError(f"unknown rule {rule!r}")
+    return Move(position, 1 if rule in _FORWARD else -1)
 
 
 def hurwitz_path_positive(w1: BandWord, w2: BandWord, size_cap: int = DEFAULT_WORD_CAP) -> PathResult:
@@ -242,7 +234,7 @@ def hurwitz_path_positive(w1: BandWord, w2: BandWord, size_cap: int = DEFAULT_WO
     if not found:
         status = "inconclusive" if tree.capped else "not_equal"
         return PathResult(status, None, len(tree.parents), tree.capped)
-    moves = tuple(step_to_move(RelationStep(*step)) for step in tree.path(target))
+    moves = tuple(map(step_to_move, tree.path(target)))
     replayed = apply_sequence(band_factorization(w1), moves).factor_keys
     check_replay(replayed, band_factorization(w2).factor_keys, "compiled move sequence")
     return PathResult("found", moves, len(tree.parents), tree.capped)

@@ -37,7 +37,6 @@ from .hurwitz import Move, apply_move, apply_sequence, check_replay, find_path, 
 from .normalform import canonical_key, equal
 from .rewriting import (
     RULES,
-    RelationStep,
     apply_step,
     closure_tree,
     equivalence_class,
@@ -141,7 +140,7 @@ def suite_chain_rules(n: int) -> dict:
                    commutingPairs=len(commuting))
 
 
-def _realizes(src: BandWord, step: RelationStep, rewritten: BandWord) -> bool:
+def _realizes(src: BandWord, step: tuple[int, str], rewritten: BandWord) -> bool:
     """Whether the compiled move of step takes src's expansion to rewritten's."""
     moved = apply_move(band_factorization(src), step_to_move(step))
     return moved.factor_keys == band_factorization(rewritten).factor_keys
@@ -156,14 +155,14 @@ def _chain_rule_checks(n: int, commuting):
         yield (equal(lhs, expand(BandGenerator(n, t, r))),
                f"conjugation identity fails at triple ({t},{s},{r})")
         for rule in rules:
-            step = RelationStep(1, rule)
+            step = (1, rule)
             src, want = words[rule[0]], words[rule[-1]]
             if apply_step(src, step) != want:
                 yield False, f"step {rule} at ({t},{s},{r}) rewrites wrongly"
             else:
                 yield (_realizes(src, step, want),
                        f"move for {rule} at ({t},{s},{r}) does not realize the step")
-    step = RelationStep(1, "Comm")
+    step = (1, "Comm")
     for x, y in commuting:
         src = BandWord(n, (x, y))
         yield _realizes(src, step, apply_step(src, step)), f"commuting move fails on ({x},{y})"
@@ -230,7 +229,7 @@ def suite_twist_closure(n: int, size_cap: int = 200000, seed: int = DEFAULT_SEED
             word = tree.parents[word][0]
         f = replayed[word]
         for word in reversed(path):
-            f = replayed[word] = apply_move(f, step_to_move(RelationStep(*tree.parents[word][1])))
+            f = replayed[word] = apply_move(f, step_to_move(tree.parents[word][1]))
         want = band_factorization(unpack(n, member)).factor_keys
         check_replay(f.factor_keys, want, "compiled move sequence")
     return _report("twist-closure", n, len(members), [],

@@ -147,13 +147,28 @@ def inverse(u: BraidWord) -> BraidWord:
     return BraidWord(u.n, _reduce(_inverse(u.letters)))
 
 
+def _conjugate_letters(h: tuple, m: tuple, sign: int) -> tuple:
+    """The letters of h^sign m h^-sign, for the letters of valid words.
+
+    The result is one free reduction of their concatenation, so it is
+    freely reduced and its letters valid.  This is the one conjugation:
+    `conjugate` calls it, `hurwitz.apply_sequence` on each move's
+    letters, and a search's move table on the words of new factors.
+    """
+    inv = _inverse(h)
+    head, tail = (h, inv) if sign == 1 else (inv, h)
+    return _reduce(head + m + tail)
+
+
 def conjugate(x: BraidWord, g: BraidWord) -> BraidWord:
     """The conjugate x^g = g^-1 x g, freely reduced.
 
     The direction is fixed so that the basic Hurwitz move on a pair
     (t1, t2) produces t1 t2 t1^-1 = conjugate(t2, inverse(t1)).
     """
-    return compose_all(x.n, (inverse(g), x, g))
+    if g.n != x.n:
+        raise InputError(f"strand counts differ: {x.n} vs {g.n}")
+    return BraidWord(x.n, _conjugate_letters(g.letters, x.letters, -1))
 
 
 def exponent_sum(w: BraidWord) -> int:

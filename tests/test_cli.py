@@ -9,16 +9,15 @@ import time
 
 import pytest
 
-import braidkit
 from braidkit import cli, hurwitz, verify
 from braidkit.cli import main
 from braidkit.planar import map_to_json
 from braidkit.verify import SUITE_NAMES
+from child_env import child_env
 
 FACT = json.dumps({"strands": 3, "factors": ["1", "2"]})
 FACT_MOVED = json.dumps({"strands": 3, "factors": ["1 2 -1", "1"]})
 STD3 = json.dumps({"strands": 3, "factors": ["1", "2"] * 3})
-SRC = os.path.dirname(os.path.dirname(braidkit.__file__))
 
 
 def run(capsys, *argv):
@@ -162,11 +161,8 @@ def test_orbit_json_deterministic(capsys):
 
 def spawn(argv, env=None, **options):
     """`braidkit` run in a new interpreter, killed after 120 s."""
-    # src first, then the caller's path, so packages found through it stay importable.
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", "braidkit.cli", *argv], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path, **(env or {})),
-                          timeout=120, **options)
+                          text=True, env=child_env(**(env or {})), timeout=120, **options)
 
 
 def run_process(*argv, **env):

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from braidkit.cli import main
 from braidkit.verify import SUITE_NAMES
+from child_env import child_env
 
 JUNK = st.sampled_from(["", "x", "1.5", "0", "3:", ":2", "a:b", "2:1:1", "{", "[]", "-1"])
 
@@ -139,13 +140,8 @@ print("ok")
 
 
 def test_a_fixed_sample_keeps_the_exit_contract_under_python_O():
-    import braidkit
-
-    src = os.path.dirname(os.path.dirname(braidkit.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-O", "-c", REPLAY, os.path.dirname(__file__)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=child_env(), timeout=120,
     )
     assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr

@@ -1,7 +1,6 @@
 """The package re-exports nothing: each module imports on its own, as the README shows."""
 
 import doctest
-import os
 import pkgutil
 import subprocess
 import sys
@@ -10,16 +9,15 @@ from pathlib import Path
 import pytest
 
 import braidkit
+from child_env import child_env
 
-SRC = os.path.dirname(os.path.dirname(braidkit.__file__))
 MODULES = sorted(m.name for m in pkgutil.iter_modules(braidkit.__path__))
 
 
 def fresh_python(code: str) -> str:
     """Standard output of `code` run in a new interpreter that imports from src/."""
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+                          env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

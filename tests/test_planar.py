@@ -7,6 +7,7 @@ from functools import cmp_to_key
 import pytest
 
 from braidkit.bands import BandGenerator, all_generators
+from braidkit import planar
 from braidkit.cli import main
 from braidkit.planar import (
     _abscissae,
@@ -267,6 +268,14 @@ def test_band_maps_of_random_subsets_are_drawn(n):
         m = band_subgraph_map(n, gens)
         assert sum(v.kind == "crossing" for v in m.vertices) == interleaving_pairs(gens)
         check_semiframe(m)
+
+
+def test_a_degenerate_layout_is_a_fault_not_an_input_error(monkeypatch):
+    # Consecutive abscissae put three chords through one point from 9
+    # punctures on; `_abscissae` moves the ninth to 14 to avoid that.
+    monkeypatch.setattr(planar, "_abscissae", lambda n: tuple(range(1, n + 1)))
+    with pytest.raises(RuntimeError, match="layout degenerate"):  # InputError is a ValueError
+        band_subgraph_map(9, all_generators(9))
 
 
 def test_band_map_rejects_foreign_strand_count():

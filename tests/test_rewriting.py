@@ -6,7 +6,6 @@ from braidkit.normalform import equal
 from braidkit.bands import expand_word
 from braidkit.rewriting import (
     RULES,
-    RelationStep,
     apply_step,
     equivalence_class,
     hurwitz_path_positive,
@@ -21,11 +20,13 @@ def bw(text, n=3):
 
 
 def test_step_validation():
-    RelationStep(1, "A->B")
-    with pytest.raises(InputError):
-        RelationStep(0, "A->B")
-    with pytest.raises(InputError):
-        RelationStep(1, "A->A")
+    w = bw("3:2 2:1")
+    assert apply_step(w, (1, "A->B")) == bw("3:1 3:2")
+    for step in [(0, "A->B"), (len(w), "A->B"), (1, "A->A")]:
+        with pytest.raises(InputError):
+            apply_step(w, step)
+    with pytest.raises(InputError, match="unknown rule"):
+        step_to_move((1, "A->A"))
 
 
 def test_apply_step_chain_forms():
@@ -33,27 +34,27 @@ def test_apply_step_chain_forms():
     a = bw("3:2 2:1")
     b = bw("3:1 3:2")
     c = bw("2:1 3:1")
-    assert apply_step(a, RelationStep(1, "A->B")) == b
-    assert apply_step(b, RelationStep(1, "B->C")) == c
-    assert apply_step(c, RelationStep(1, "C->A")) == a
-    assert apply_step(b, RelationStep(1, "B->A")) == a
-    assert apply_step(c, RelationStep(1, "C->B")) == b
-    assert apply_step(a, RelationStep(1, "A->C")) == c
+    assert apply_step(a, (1, "A->B")) == b
+    assert apply_step(b, (1, "B->C")) == c
+    assert apply_step(c, (1, "C->A")) == a
+    assert apply_step(b, (1, "B->A")) == a
+    assert apply_step(c, (1, "C->B")) == b
+    assert apply_step(a, (1, "A->C")) == c
 
 
 def test_apply_step_commuting():
     w = bw("2:1 4:3", 4)
-    out = apply_step(w, RelationStep(1, "Comm"))
+    out = apply_step(w, (1, "Comm"))
     assert out == bw("4:3 2:1", 4)
 
 
 def test_apply_step_rejects_wrong_class():
     with pytest.raises(InputError):
-        apply_step(bw("3:2 2:1"), RelationStep(1, "B->C"))
+        apply_step(bw("3:2 2:1"), (1, "B->C"))
     with pytest.raises(InputError):
-        apply_step(bw("2:1 4:3", 4), RelationStep(1, "A->B"))
+        apply_step(bw("2:1 4:3", 4), (1, "A->B"))
     with pytest.raises(InputError):
-        apply_step(bw("3:2 2:1"), RelationStep(2, "A->B"))
+        apply_step(bw("3:2 2:1"), (2, "A->B"))
 
 
 def test_every_step_preserves_the_product():
@@ -66,7 +67,7 @@ def test_every_step_preserves_the_product():
 def test_neighbors_positions_and_rules():
     w = bw("3:2 2:1")
     out = neighbors(w)
-    assert [(step.position, step.rule) for _nb, step in out] == [
+    assert [step for _nb, step in out] == [
         (1, "A->B"),
         (1, "A->C"),
     ]
@@ -119,13 +120,13 @@ def test_relation_path_strand_mismatch():
 
 
 def test_step_to_move_table():
-    assert step_to_move(RelationStep(2, "A->B")) == Move(2, 1)
-    assert step_to_move(RelationStep(1, "B->C")) == Move(1, 1)
-    assert step_to_move(RelationStep(3, "C->A")) == Move(3, 1)
-    assert step_to_move(RelationStep(1, "Comm")) == Move(1, 1)
-    assert step_to_move(RelationStep(1, "B->A")) == Move(1, -1)
-    assert step_to_move(RelationStep(4, "C->B")) == Move(4, -1)
-    assert step_to_move(RelationStep(2, "A->C")) == Move(2, -1)
+    assert step_to_move((2, "A->B")) == Move(2, 1)
+    assert step_to_move((1, "B->C")) == Move(1, 1)
+    assert step_to_move((3, "C->A")) == Move(3, 1)
+    assert step_to_move((1, "Comm")) == Move(1, 1)
+    assert step_to_move((1, "B->A")) == Move(1, -1)
+    assert step_to_move((4, "C->B")) == Move(4, -1)
+    assert step_to_move((2, "A->C")) == Move(2, -1)
     assert set(RULES) == {"A->B", "B->C", "C->A", "B->A", "C->B", "A->C", "Comm"}
 
 
@@ -175,8 +176,8 @@ def test_intermediate_words_stay_positive_band_expansions():
 
     expansions = {canonical_key(expand(a)) for a in all_generators(3)}
     w1 = bw("2:1 3:2 2:1 3:2 2:1 3:2")
-    w2 = apply_step(w1, RelationStep(2, "A->B"))
-    w2 = apply_step(w2, RelationStep(4, "A->B"))
+    w2 = apply_step(w1, (2, "A->B"))
+    w2 = apply_step(w2, (4, "A->B"))
     res = hurwitz_path_positive(w1, w2)
     assert res.status == "found"
     f = band_factorization(w1)

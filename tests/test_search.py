@@ -2,7 +2,6 @@
 
 import contextlib
 import itertools
-import os
 import random
 import subprocess
 import sys
@@ -12,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import braidkit
 from braidkit import cli, hurwitz, normalform, rewriting
 from braidkit.bands import (
     BandGenerator,
@@ -39,7 +37,6 @@ from braidkit.hurwitz import (
 )
 from braidkit.rewriting import (
     RULES,
-    RelationStep,
     _letter_table,
     apply_step,
     closure_tree,
@@ -49,6 +46,7 @@ from braidkit.rewriting import (
     step_to_move,
 )
 from braidkit.words import InputError, compose_all, conjugate, inverse, parse_word
+from child_env import child_env
 
 
 def fact(n, *words):
@@ -172,12 +170,9 @@ expect_replay_error("suite_twist_closure", lambda: verify.suite_twist_closure(3)
 
 
 def test_corrupted_replays_raise_under_python_O():
-    src = os.path.dirname(os.path.dirname(braidkit.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-O", "-c", CORRUPTED_REPLAYS],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=child_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
@@ -426,7 +421,7 @@ def reference_neighbors(w):
     out = []
     for i in range(len(w) - 1):
         for rule in RULES:
-            step = RelationStep(i + 1, rule)
+            step = (i + 1, rule)
             try:
                 out.append((apply_step(w, step), step))
             except InputError:
@@ -461,8 +456,8 @@ def test_the_packed_pair_table_agrees_with_classify_pair_and_apply_step(n):
             got = [(tuple(_decode(p)), rule) for p, rule in pairs[_encode((index[x], index[y]))]]
             assert got == want.get((index[x], index[y]), []), (x, y)
             assert (not got) == (classify_pair(x, y) is PairClass.INTERLEAVED)
-            assert got == [((index[nb.letters[0]], index[nb.letters[1]]), step.rule)
-                           for nb, step in reference_neighbors(BandWord(n, (x, y)))]
+            assert got == [((index[nb.letters[0]], index[nb.letters[1]]), rule)
+                           for nb, (_, rule) in reference_neighbors(BandWord(n, (x, y)))]
 
 
 def test_neighbors_match_the_reference_on_whole_words():
@@ -475,7 +470,7 @@ def test_neighbors_match_the_reference_on_whole_words():
                 w = BandWord(n, tuple(rng.choice(gens) for _ in range(length)))
                 got = neighbors(w)
                 assert list(got) == reference_neighbors(w), w
-                rewritten += len({step.position for _, step in got}) > 1
+                rewritten += len({position for _, (position, _) in got}) > 1
     assert rewritten > 0
 
 

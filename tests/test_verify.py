@@ -5,7 +5,7 @@ import re
 import pytest
 
 from braidkit import freegroup, hurwitz, normalform, verify
-from braidkit.bands import BandWord
+from braidkit.bands import BandWord, parse_band_word
 from braidkit.hurwitz import PathResult, ReplayError
 from braidkit.verify import SUITE_NAMES, run_suite, suite_conjugated_split, suite_embedding
 
@@ -107,6 +107,26 @@ def test_a_wrong_compiled_move_fails_the_twist_closure_replay(monkeypatch):
     monkeypatch.setattr(verify, "step_to_move", lambda step: real(step).inverted())
     with pytest.raises(ReplayError):
         verify.suite_twist_closure(3)
+
+
+# δ = a_{6,5} a_{5,4} a_{4,3} a_{3,2} a_{2,1}: its closure has 1,296
+# words, past the 500 above which the suite samples 100 members.
+HALF_TWIST_6 = parse_band_word("6:5 5:4 4:3 3:2 2:1", 6)
+
+
+def test_a_large_twist_closure_replays_a_sample(monkeypatch):
+    monkeypatch.setattr(verify, "standard_band_word", lambda n: HALF_TWIST_6)
+    rep = verify.suite_twist_closure(6)
+    assert (rep["ok"], rep["sampled"], rep["checks"]) == (True, True, 100)
+    assert (rep["size"], rep["truncated"], rep["failures"]) == (1296, False, [])
+
+
+def test_a_wrong_compiled_move_fails_the_sampled_twist_closure_replay(monkeypatch):
+    monkeypatch.setattr(verify, "standard_band_word", lambda n: HALF_TWIST_6)
+    real = verify.step_to_move
+    monkeypatch.setattr(verify, "step_to_move", lambda step: real(step).inverted())
+    with pytest.raises(ReplayError):
+        verify.suite_twist_closure(6)
 
 
 def test_run_suite_passes_only_the_caps_given():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidkit.words import (
     MAX_STRANDS,
@@ -110,6 +112,28 @@ def test_conjugate_direction():
     g = generator(3, 1)
     assert format_word(conjugate(x, g)) == "-1 2 1"
     assert conjugate(x, BraidWord(3)) == x
+
+
+@st.composite
+def unreduced_words(draw, n):
+    """A word on n strands, often with a cancelling pair spliced in."""
+    letter = st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1)))
+    letters = draw(st.lists(letter, max_size=12))
+    if draw(st.booleans()):
+        (k, s), i = draw(letter), draw(st.integers(0, len(letters)))
+        letters[i:i] = [(k, s), (k, -s)]
+    return BraidWord(n, tuple(letters))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 6).flatmap(lambda n: st.tuples(unreduced_words(n), unreduced_words(n))))
+def test_conjugate_is_the_reduced_product_g_inverse_x_g(pair):
+    # Free reduction is confluent, so one reduction of the concatenation
+    # equals reducing g^-1 first, letter for letter.
+    x, g = pair
+    assert conjugate(x, g) == compose_all(x.n, (inverse(g), x, g))
+    with pytest.raises(InputError, match="strand counts differ"):
+        conjugate(x, BraidWord(x.n + 1, g.letters))
 
 
 def test_exponent_sum():
