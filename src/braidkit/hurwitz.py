@@ -119,7 +119,7 @@ def _move_pair(x, y, direction: int, conjugate) -> tuple:
 
     That is (x y x^-1, x) forward and (y, y^-1 x y) backward, with
     conjugate(h, m, sign) giving h^sign m h^-sign in whatever stands for
-    a factor: letter tuples in `apply_sequence`, ids in a search's move
+    a factor: letter tuples in `_move_letters`, ids in a search's move
     table.
     """
     if direction == 1:
@@ -134,12 +134,24 @@ def apply_move(f: Factorization, m: Move) -> Factorization:
 def apply_sequence(f: Factorization, moves) -> Factorization:
     """f moved by each of the moves in turn, its factors freely reduced.
 
-    The moves act on letter tuples, and a factor whose letters changed
-    is wrapped in a `BraidWord` once, at the end; one left in place is
-    passed through as it is.  The result goes through the
+    The moves act on letter tuples through `_move_letters`, the loop
+    that `verify`'s action-axioms suite also runs, and a factor whose
+    letters changed is wrapped in a `BraidWord` once, at the end; one
+    left in place is passed through as it is.  The result goes through the
     `Factorization` constructor, which keeps these reduced words.
     """
-    factors = [w.letters for w in f.factors]
+    factors = _move_letters((w.letters for w in f.factors), moves)
+    moved = tuple(w if w.letters is letters else BraidWord(f.n, letters)
+                  for w, letters in zip(f.factors, factors))
+    return Factorization(f.n, moved)
+
+
+def _move_letters(factors, moves) -> list:
+    """The letter tuples of freely reduced factors moved by each move in turn.
+
+    A factor left in place stays the same tuple in the returned list.
+    """
+    factors = list(factors)
     for idx, m in enumerate(moves):
         if m.k > len(factors) - 1:
             raise InputError(f"move {idx + 1} of the sequence: move {m} out of range "
@@ -147,9 +159,7 @@ def apply_sequence(f: Factorization, moves) -> Factorization:
         i = m.k - 1
         factors[i : i + 2] = _move_pair(factors[i], factors[i + 1], m.direction,
                                         _conjugate_letters)
-    moved = tuple(w if w.letters is letters else BraidWord(f.n, letters)
-                  for w, letters in zip(f.factors, factors))
-    return Factorization(f.n, moved)
+    return factors
 
 
 def tuple_key(f: Factorization) -> str:

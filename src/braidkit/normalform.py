@@ -17,8 +17,9 @@ the normal form.  Even those reach it only where they differ: both
 words are freely reduced and their longest common prefix and suffix
 are cancelled (in a group p a s = p b s exactly when a = b), so words
 that differ by a few local edits normalize only the stretch between
-the first and the last edit.  `equal` compares the `NormalForm` values
-of what is left, with no key strings.
+the first and the last edit.  `equal` does all of this on letter
+tuples and compares the Delta power and factors of what is left, with
+no words or key strings built.
 
 One forward pass cuts the word into maximal simple chunks of one sign.
 A positive chunk is one factor; a negative chunk borrows one Delta^-1
@@ -48,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import BraidWord, Perm, _inverse, delta_word, free_reduce
+from .words import BraidWord, Perm, _inverse, _reduce, delta_word
 
 
 @dataclass(frozen=True)
@@ -174,8 +175,8 @@ def _left_weighted(chunks: list[tuple[int, list[int], list[int]]], n: int) -> tu
     ]
 
 
-def _chunks(w: BraidWord) -> list[tuple[int, list[int], list[int]]]:
-    """Cut w into maximal simple chunks of one sign: (sign, q, q inverse).
+def _chunks(n: int, letters) -> list[tuple[int, list[int], list[int]]]:
+    """Cut letters on n strands into maximal simple chunks of one sign: (sign, q, q inverse).
 
     q is the permutation of the chunk's letters read forward.  A letter
     sigma_i joins while the sign stays and sigma_i is not in q's
@@ -184,10 +185,9 @@ def _chunks(w: BraidWord) -> list[tuple[int, list[int], list[int]]]:
     run r^-1, with r its letters reversed, q is r^-1 and q^-1 is r: the
     test reads r[i] < r[i+1] and the step swaps positions i and i+1 of r.
     """
-    n = w.n
     chunks: list[tuple[int, list[int], list[int]]] = []
     sign, q, qi = 0, [], []
-    for index, s in w.letters:
+    for index, s in letters:
         i = index - 1
         if s != sign or qi[i] > qi[i + 1]:
             sign, q, qi = s, list(range(n)), list(range(n))
@@ -199,7 +199,7 @@ def _chunks(w: BraidWord) -> list[tuple[int, list[int], list[int]]]:
 
 
 def normal_form(w: BraidWord) -> NormalForm:
-    power, factors = _left_weighted(_chunks(w), w.n)
+    power, factors = _left_weighted(_chunks(w.n, w.letters), w.n)
     return NormalForm(w.n, power, tuple(factors))
 
 
@@ -238,14 +238,12 @@ def _crossings(w: BraidWord) -> tuple[list[int], list[int]]:
     return labels, counts
 
 
-def _middles(u: BraidWord, v: BraidWord) -> tuple[BraidWord, BraidWord]:
-    """u and v without their longest common prefix, then common suffix.
+def _middles(a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """Letter tuples a and b without their longest common prefix, then common suffix.
 
     The suffix scan stops where the prefix ended, so the two never
-    overlap: "1 1" against "1" leaves "1" and the empty word.  The words
-    come back as they are when they share neither end.
+    overlap: "1 1" against "1" leaves "1" and the empty word.
     """
-    a, b = u.letters, v.letters
     room = min(len(a), len(b))
     start = 0
     while start < room and a[start] == b[start]:
@@ -254,9 +252,7 @@ def _middles(u: BraidWord, v: BraidWord) -> tuple[BraidWord, BraidWord]:
     end = 0
     while end < room and a[-1 - end] == b[-1 - end]:
         end += 1
-    if not (start or end):
-        return u, v
-    return BraidWord(u.n, a[start:len(a) - end]), BraidWord(v.n, b[start:len(b) - end])
+    return a[start:len(a) - end], b[start:len(b) - end]
 
 
 def equal(u: BraidWord, v: BraidWord) -> bool:
@@ -266,14 +262,14 @@ def equal(u: BraidWord, v: BraidWord) -> bool:
     (the image in B_n/[P_n, P_n]) decide "not equal" at once.  Words
     that agree on all three are freely reduced and their longest common
     prefix and suffix are cancelled, since p a s = p b s exactly when
-    a = b.  Identical middles (both empty) are equal; others are
-    compared by their normal forms, as `NormalForm` values, without
-    building key strings.
+    a = b.  All of this runs on letter tuples.  Identical middles (both
+    empty) are equal; others are compared by the Delta power and factors
+    of their normal forms, without building words or key strings.
     """
     if u.n != v.n or _crossings(u) != _crossings(v):
         return False
-    u, v = _middles(free_reduce(u), free_reduce(v))
-    return u.letters == v.letters or normal_form(u) == normal_form(v)
+    a, b = _middles(_reduce(u.letters), _reduce(v.letters))
+    return a == b or _left_weighted(_chunks(u.n, a), u.n) == _left_weighted(_chunks(u.n, b), u.n)
 
 
 def canonical_key(w: BraidWord) -> str:

@@ -32,8 +32,8 @@ from .bands import (
     standard_factorization,
     PairClass,
 )
-from .freegroup import action_key
-from .hurwitz import Move, apply_move, apply_sequence, check_replay, find_path, tuple_key
+from .freegroup import act
+from .hurwitz import Move, _move_letters, apply_move, check_replay, find_path, tuple_key
 from .normalform import canonical_key, equal
 from .rewriting import (
     RULES,
@@ -47,11 +47,13 @@ from .words import (
     BraidWord,
     InputError,
     _check_strands,
+    _inverse,
+    _reduce,
     compose,
-    compose_all,
     conjugate,
     delta_word,
     exponent_sum,
+    format_word,
     generator,
     inverse,
 )
@@ -263,25 +265,24 @@ def suite_conjugated_split(n: int, depth_cap: int = 8, size_cap: int = 5000) -> 
                    depthCap=depth_cap, sizeCap=size_cap, instances=instances)
 
 
-def _random_word(rng: random.Random, n: int, max_len: int) -> BraidWord:
+def _random_letters(rng: random.Random, n: int, max_len: int) -> tuple:
     length = rng.randint(0, max_len)
-    return BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((-1, 1))) for _ in range(length)))
-
-
-def _random_factorization(rng: random.Random, n: int, size: int, max_len: int) -> Factorization:
-    return Factorization(n, tuple(_random_word(rng, n, max_len) for _ in range(size)))
+    return tuple((rng.randint(1, n - 1), rng.choice((-1, 1))) for _ in range(length))
 
 
 def suite_action_axioms(n: int, seed: int = DEFAULT_SEED) -> dict:
     """Seeded checks of the free-group action and of the Hurwitz move axioms.
 
-    The move checks compare freely reduced words first and canonical keys
-    only where the words differ.  That is exact: `apply_sequence` returns
-    freely reduced words, the Hurwitz action obeys the braid relations
-    over the free group on the letters (Artin), and a free-group element
-    has exactly one freely reduced word, so correct moves give equal
-    words, and equal words have equal keys.  A move that spells a
-    braid-equal but different word still passes, through the keys.
+    The moves act on the letter tuples of freely reduced factors through
+    `hurwitz._move_letters`, the loop `apply_sequence` runs, and the
+    checks compare those letters first.  Only where they differ are the
+    factors wrapped in a `Factorization` for their canonical keys.  That
+    is exact: the moves return freely reduced words, the Hurwitz action
+    obeys the braid relations over the free group on the letters
+    (Artin), and a free-group element has exactly one freely reduced
+    word, so correct moves give equal letters, and equal letters have
+    equal keys.  A move that spells a braid-equal but different word
+    still passes, through the keys.
     """
     checks, failures = _tally(_action_checks(n, seed))
     return _report("action-axioms", n, checks, sorted(set(failures)),
@@ -289,55 +290,58 @@ def suite_action_axioms(n: int, seed: int = DEFAULT_SEED) -> dict:
 
 
 def _action_checks(n: int, seed: int):
-    idkey = action_key(BraidWord(n, ()))
+    # Letters act on the coordinates of the trivial lamination (`freegroup`).
+    trivial = (0, 1) * n
     for i in range(1, n - 1):
-        u = compose_all(n, [generator(n, i), generator(n, i + 1), generator(n, i)])
-        v = compose_all(n, [generator(n, i + 1), generator(n, i), generator(n, i + 1)])
-        yield action_key(u) == action_key(v), f"action breaks the braid relation at {i}"
+        yield (act(trivial, ((i, 1), (i + 1, 1), (i, 1)))
+               == act(trivial, ((i + 1, 1), (i, 1), (i + 1, 1))),
+               f"action breaks the braid relation at {i}")
     for i in range(1, n):
         for j in range(i + 2, n):
-            yield (action_key(compose(generator(n, i), generator(n, j)))
-                   == action_key(compose(generator(n, j), generator(n, i))),
+            yield (act(trivial, ((i, 1), (j, 1))) == act(trivial, ((j, 1), (i, 1))),
                    f"action breaks far commutation at ({i},{j})")
-    # `compose` would cancel these products freely; the action must do it.
+    # Nothing cancels these letters on the way; the action must do it.
     for i in range(1, n):
-        yield (action_key(BraidWord(n, ((i, 1), (i, -1)))) == idkey,
-               f"action breaks cancellation at {i}")
+        yield act(trivial, ((i, 1), (i, -1))) == trivial, f"action breaks cancellation at {i}"
 
     rng = random.Random(seed)
     for _ in range(ACTION_TRIALS):
-        w = _random_word(rng, n, 8)
-        yield (action_key(BraidWord(n, w.letters + inverse(w).letters)) == idkey,
-               f"action of '{w}' does not invert")
+        w = _random_letters(rng, n, 8)
+        yield (act(trivial, w + _reduce(_inverse(w))) == trivial,
+               f"action of '{format_word(BraidWord(n, w))}' does not invert")
 
     # Hurwitz move axioms on random factorizations of up to 5 factors.
     moves = {(k, d): Move(k, d) for k in range(1, 5) for d in (1, -1)}
     for _ in range(ACTION_TRIALS):
-        f = _random_factorization(rng, n, rng.randint(2, 5), 4)
+        f = [_reduce(_random_letters(rng, n, 4)) for _ in range(rng.randint(2, 5))]
         k = rng.randint(1, len(f) - 1)
-        again = apply_sequence(f, [moves[k, 1], moves[k, -1]])
-        yield (_same_factors(again, f),
+        again = _move_letters(f, [moves[k, 1], moves[k, -1]])
+        yield (_same_factors(n, again, f),
                "a move composed with its inverse is not the identity")
         if len(f) >= 3:
             k = rng.randint(1, len(f) - 2)
-            lhs = apply_sequence(f, [moves[k, 1], moves[k + 1, 1], moves[k, 1]])
-            rhs = apply_sequence(f, [moves[k + 1, 1], moves[k, 1], moves[k + 1, 1]])
-            yield _same_factors(lhs, rhs), "moves break their own braid relation"
+            lhs = _move_letters(f, [moves[k, 1], moves[k + 1, 1], moves[k, 1]])
+            rhs = _move_letters(f, [moves[k + 1, 1], moves[k, 1], moves[k + 1, 1]])
+            yield _same_factors(n, lhs, rhs), "moves break their own braid relation"
         if len(f) >= 4:
             j = rng.randint(3, len(f) - 1)
-            lhs = apply_sequence(f, [moves[1, 1], moves[j, 1]])
-            rhs = apply_sequence(f, [moves[j, 1], moves[1, 1]])
-            yield _same_factors(lhs, rhs), "far moves fail to commute"
+            lhs = _move_letters(f, [moves[1, 1], moves[j, 1]])
+            rhs = _move_letters(f, [moves[j, 1], moves[1, 1]])
+            yield _same_factors(n, lhs, rhs), "far moves fail to commute"
         seq = [moves[rng.randint(1, len(f) - 1), rng.choice((-1, 1))] for _ in range(10)]
-        moved = apply_sequence(f, seq)
-        yield (compose_all(n, moved.factors) == compose_all(n, f.factors)
-               or moved.product_key == f.product_key,
+        moved = _move_letters(f, seq)
+        yield (_reduce(itertools.chain(*moved)) == _reduce(itertools.chain(*f))
+               or _factorization(n, moved).product_key == _factorization(n, f).product_key,
                "a random move sequence changed the product")
 
 
-def _same_factors(f: Factorization, g: Factorization) -> bool:
-    """Whether f and g have equal factors position by position: as words, else as braids."""
-    return f.factors == g.factors or tuple_key(f) == tuple_key(g)
+def _factorization(n: int, factors: list) -> Factorization:
+    return Factorization(n, tuple(BraidWord(n, letters) for letters in factors))
+
+
+def _same_factors(n: int, f: list, g: list) -> bool:
+    """Whether factor letters f and g agree position by position: as words, else as braids."""
+    return f == g or tuple_key(_factorization(n, f)) == tuple_key(_factorization(n, g))
 
 
 def check_suite_names(names) -> None:

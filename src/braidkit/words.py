@@ -152,7 +152,7 @@ def _conjugate_letters(h: tuple, m: tuple, sign: int) -> tuple:
 
     The result is one free reduction of their concatenation, so it is
     freely reduced and its letters valid.  This is the one conjugation:
-    `conjugate` calls it, `hurwitz.apply_sequence` on each move's
+    `conjugate` calls it, `hurwitz._move_letters` on each move's
     letters, and a search's move table on the words of new factors.
     """
     inv = _inverse(h)

@@ -8,12 +8,12 @@ from braidkit.bands import (
     Factorization,
     band_factorization,
     conjugated_factorization,
-    expand,
     parse_band_word,
     standard_factorization,
 )
 from braidkit.hurwitz import (
     Move,
+    _move_letters,
     apply_move,
     apply_sequence,
     find_path,
@@ -177,6 +177,23 @@ def test_moves_act_on_freely_reduced_words_exactly(f, data):
     moves = data.draw(st.lists(st.builds(Move, st.integers(1, len(f) - 1), sign), max_size=10))
     moved = apply_sequence(f, moves)
     assert compose_all(f.n, moved.factors).letters == compose_all(f.n, f.factors).letters
+
+
+def outcome(call):
+    """What call returns, or the text of the InputError it raises."""
+    try:
+        return call()
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(factorizations(), st.lists(st.builds(Move, st.integers(1, 6), st.sampled_from((1, -1))),
+                                  max_size=10))
+def test_move_letters_is_the_loop_apply_sequence_wraps(f, moves):
+    # Positions up to 6 run past the last pair of most factorizations.
+    want = outcome(lambda: letters(apply_sequence(f, moves)))
+    assert outcome(lambda: _move_letters(letters(f), moves)) == want
 
 
 def test_apply_move_position_out_of_range():

@@ -263,16 +263,20 @@ def test_equal_never_cancels_a_letter_twice(u, v, expected):
 
 @pytest.fixture
 def normal_forms(monkeypatch):
-    """The words `normal_form` is called on, with the key cache cleared."""
-    calls = []
-    real = normalform.normal_form
+    """The words whose normal form is computed, with the key cache cleared.
 
-    def counted(w):
-        calls.append(w)
-        return real(w)
+    Every normal form starts by cutting the word into chunks, in
+    `normal_form` and in `equal` alike.
+    """
+    calls = []
+    real = normalform._chunks
+
+    def counted(n, letters):
+        calls.append(BraidWord(n, letters))
+        return real(n, letters)
 
     normalform._cached_key.cache_clear()
-    monkeypatch.setattr(normalform, "normal_form", counted)
+    monkeypatch.setattr(normalform, "_chunks", counted)
     return calls
 
 

@@ -1,5 +1,6 @@
 """The package re-exports nothing: each module imports on its own, as the README shows."""
 
+import ast
 import doctest
 import pkgutil
 import subprocess
@@ -12,6 +13,7 @@ import braidkit
 from child_env import child_env
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(braidkit.__path__))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def fresh_python(code: str) -> str:
@@ -39,6 +41,31 @@ def test_each_module_imports_on_its_own(name):
 
 
 def test_the_readme_example_runs():
-    readme = Path(__file__).resolve().parent.parent / "README.md"
+    readme = ROOT / "README.md"
     result = doctest.testfile(str(readme), module_relative=False)
     assert (result.failed, result.attempted) == (0, 4)
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads, "from __future__" aside."""
+    tree = ast.parse(source)
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_unused_imports_are_found():
+    assert unused_imports("from __future__ import annotations\n"
+                          "import os.path, sys\nfrom a import b as c, d\nd(os)\n") == ["sys", "c"]
+
+
+SOURCES = sorted([*ROOT.glob("src/braidkit/*.py"), *ROOT.glob("tests/*.py")])
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_no_module_imports_a_name_it_does_not_use(path):
+    assert unused_imports(path.read_text()) == []

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from braidkit import freegroup, hurwitz, normalform, verify
+from braidkit import bands, freegroup, hurwitz, normalform, verify
 from braidkit.bands import BandWord, parse_band_word
 from braidkit.hurwitz import PathResult, ReplayError
 from braidkit.verify import SUITE_NAMES, run_suite, suite_conjugated_split, suite_embedding
@@ -216,3 +216,18 @@ def test_passing_action_axioms_compute_no_normal_form(monkeypatch, n):
     monkeypatch.setattr(normalform, "normal_form", counted)
     rep = run_suite("action-axioms", n)
     assert rep["ok"] and calls == []
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_passing_action_axioms_build_no_factorization(monkeypatch, n):
+    # The moves run on letter tuples; a Factorization is built only for keys.
+    built = []
+
+    def counted(f):
+        built.append(f)
+        real(f)
+
+    real = bands.Factorization.__post_init__
+    monkeypatch.setattr(bands.Factorization, "__post_init__", counted)
+    rep = run_suite("action-axioms", n)
+    assert rep["ok"] and built == []
