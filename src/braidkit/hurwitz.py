@@ -43,8 +43,8 @@ if a state at the cap has an unvisited neighbour), and one parent walk
 for reading a path back.  At its depth cap `find_path` reports
 truncated only if both of its trees still have an unvisited
 neighbour.  Every path a search reports is replayed first on real
-factorizations, as is the move that admitted an orbit's last state,
-and a mismatch raises `ReplayError`.
+factorizations, as is the move that admitted an orbit's last state, and
+`check_replay` raises `ReplayError` on a mismatch.
 
 Orbits of full-twist factorizations are infinite from 3 strands on, so
 orbit and path search hold at most `DEFAULT_SIZE_CAP` (50,000) states
@@ -170,14 +170,15 @@ class ReplayError(RuntimeError):
     """A found path does not replay to its target: a fault in the search."""
 
 
-def check_replay(got, want, what: str) -> None:
-    """Raise ReplayError unless a found path's replay matches its target.
+def check_replay(got: Factorization, want: Factorization, what: str) -> Factorization:
+    """Return got, a found path's replay, if its factors are want's as braids.
 
-    Searches call this on every path they return, under ``python -O``
-    too, so a wrong "found" can never be reported.
+    Otherwise raise ReplayError, under ``python -O`` too.  Every search
+    certifies every path it returns here, so a wrong "found" is never reported.
     """
-    if got != want:
+    if got.factor_keys != want.factor_keys:
         raise ReplayError(f"{what} does not replay to its target")
+    return got
 
 
 class SearchTree:
@@ -389,22 +390,20 @@ def orbit_explore(
 
     `truncated` is False exactly when the reported keys are the whole
     orbit: a cap only sets the flag when it actually blocks an unvisited
-    neighbor, so generous caps on a small orbit stay untruncated.
+    neighbor, so generous caps on a small orbit stay untruncated.  The
+    move that admitted the last state is certified on the pair it moved.
     """
     table = _FactorTable(f.n)
     tree = SearchTree(table.state(f), table.__getitem__).close(size_cap, depth_cap)
-    # Coordinates alone told the states apart.  The move that admitted the
-    # last state is replayed by `apply_move` on its parent's words, and the
-    # normal forms of the pair it moved must be those of the ids of `last`.
+    # Coordinates alone told the states apart, so `apply_move` replays the
+    # move that admitted the last state on the parent's pair at its position.
     last = next(reversed(tree.parents))
     parent, step = tree.parents[last]
     if parent is not None:
         i = step[0] - 1
-        words = tuple(map(table.words.__getitem__, _decode(parent)))
-        moved = apply_move(Factorization(f.n, words), Move(*step))
-        kept = map(table.words.__getitem__, _decode(last[i : i + 2]))
-        check_replay(tuple(map(canonical_key, moved.factors[i : i + 2])),
-                     tuple(map(canonical_key, kept)), "orbit move")
+        before, after = (Factorization(f.n, tuple(table.words[c] for c in _decode(s[i : i + 2])))
+                         for s in (parent, last))
+        check_replay(apply_move(before, Move(1, step[1])), after, "orbit move")
     return OrbitReport(len(tree.parents), tuple(tree.layers), tree.capped,
                        tuple(tree.parents), tuple(table.words))
 
@@ -453,8 +452,7 @@ def find_path(
         raise InputError(f"factorization lengths differ: {len(f1)} vs {len(f2)}")
 
     def finish(moves: list[Move], visited: int) -> PathResult:
-        replayed = apply_sequence(f1, moves)
-        check_replay(replayed.factor_keys, f2.factor_keys, "move path")
+        check_replay(apply_sequence(f1, moves), f2, "move path")
         return PathResult("found", tuple(moves), visited, False)
 
     table = _FactorTable(f1.n)

@@ -235,6 +235,6 @@ def hurwitz_path_positive(w1: BandWord, w2: BandWord, size_cap: int = DEFAULT_WO
         status = "inconclusive" if tree.capped else "not_equal"
         return PathResult(status, None, len(tree.parents), tree.capped)
     moves = tuple(map(step_to_move, tree.path(target)))
-    replayed = apply_sequence(band_factorization(w1), moves).factor_keys
-    check_replay(replayed, band_factorization(w2).factor_keys, "compiled move sequence")
+    check_replay(apply_sequence(band_factorization(w1), moves), band_factorization(w2),
+                 "compiled move sequence")
     return PathResult("found", moves, len(tree.parents), tree.capped)

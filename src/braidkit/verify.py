@@ -33,7 +33,7 @@ from .bands import (
     PairClass,
 )
 from .freegroup import act
-from .hurwitz import Move, _move_letters, apply_move, check_replay, find_path, tuple_key
+from .hurwitz import Move, _move_letters, apply_move, apply_sequence, check_replay, find_path, tuple_key
 from .normalform import canonical_key, equal
 from .rewriting import (
     RULES,
@@ -212,28 +212,25 @@ def suite_twist_closure(n: int, size_cap: int = 200000, seed: int = DEFAULT_SEED
     """Every member of the full twist's rewrite closure compiles back.
 
     Paths run from the target along one closure tree's parent links (moves
-    are invertible, so that proves the same), and each tree edge is replayed once.
+    are invertible, so that proves the same).  Members replay in breadth-first
+    order, each by one move from its certified parent, so each tree edge is
+    replayed once; a sampled member without one replays its whole `tree.path`.
     """
     target = standard_band_word(n)
     tree = closure_tree(target, size_cap)
     if tree.capped:
         return _report("twist-closure", n, 0, ["closure truncated before completing"],
                        inconclusive=True, size=len(tree.parents), truncated=True)
-    members = sorted(tree.parents)
-    sampled = len(members) > 500
-    if sampled:
-        members = random.Random(seed).sample(members, 100)
-    replayed = {tree.root: band_factorization(target)}
-    for member in members:
-        word, path = member, []
-        while word not in replayed:
-            path.append(word)
-            word = tree.parents[word][0]
-        f = replayed[word]
-        for word in reversed(path):
-            f = replayed[word] = apply_move(f, step_to_move(tree.parents[word][1]))
-        want = band_factorization(unpack(n, member)).factor_keys
-        check_replay(f.factor_keys, want, "compiled move sequence")
+    sampled = len(tree.parents) > 500
+    members = set(random.Random(seed).sample(sorted(tree.parents), 100)) if sampled else tree.parents
+    certified = {}
+    for member, (parent, step) in tree.parents.items():
+        if member in members:
+            f, steps = ((certified[parent], [step]) if parent in certified
+                        else (band_factorization(target), tree.path(member)))
+            got = apply_sequence(f, map(step_to_move, steps))
+            want = band_factorization(unpack(n, member))
+            certified[member] = check_replay(got, want, "compiled move sequence")
     return _report("twist-closure", n, len(members), [],
                    size=len(tree.parents), truncated=False, sampled=sampled)
 

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from braidkit import cli, hurwitz, verify
+from braidkit import bands, cli, hurwitz, verify
 from braidkit.cli import main
 from braidkit.planar import map_to_json
 from braidkit.verify import SUITE_NAMES
@@ -446,8 +446,11 @@ def test_orbit_builds_keys_only_when_it_prints_them(capsys, monkeypatch):
         calls.append(w)
         return real(w)
 
+    # Keys are built through both bindings: `OrbitReport.keys` calls
+    # hurwitz's, and `Factorization.factor_keys` (the replay check) bands'.
     real = hurwitz.canonical_key
     monkeypatch.setattr(hurwitz, "canonical_key", counted)
+    monkeypatch.setattr(bands, "canonical_key", counted)
     std = json.dumps({"strands": 3, "factors": ["1", "2"] * 3})
     code, out, _ = run(capsys, "orbit", "--size-cap", "500", std)
     assert (code, out.split()[:2]) == (2, ["visited=500", "truncated=True"])

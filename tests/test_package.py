@@ -69,3 +69,37 @@ SOURCES = sorted([*ROOT.glob("src/braidkit/*.py"), *ROOT.glob("tests/*.py")])
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_no_module_imports_a_name_it_does_not_use(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_names(sources) -> list[str]:
+    """The private module-level functions and classes, and private methods, no source reads.
+
+    A name counts as read wherever any of the sources holds it as a name,
+    an attribute or an imported name; names are matched alone, not by
+    module.  Dunder names are not private.
+    """
+    trees = [ast.parse(source) for source in sources]
+    defined = [item.name
+               for tree in trees for node in tree.body
+               for item in ([node, *node.body] if isinstance(node, ast.ClassDef) else [node])
+               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and item.name.startswith("_") and not item.name.endswith("__")]
+    read = {name for tree in trees for node in ast.walk(tree)
+            for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                         node.name if isinstance(node, ast.alias) else None)}
+    return [name for name in defined if name not in read]
+
+
+def test_unreferenced_private_names_are_found():
+    sources = ["def _used(): pass\n"
+               "class _Gone:\n"
+               "    def __init__(self): self._called()\n"
+               "    def _called(self): pass\n"
+               "    def _left(self): pass\n",
+               "from a import _used\n"]
+    assert unreferenced_private_names(sources) == ["_Gone", "_left"]
+
+
+def test_every_private_definition_in_src_is_referenced():
+    sources = [path.read_text() for path in ROOT.glob("src/braidkit/*.py")]
+    assert unreferenced_private_names(sources) == []

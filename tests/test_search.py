@@ -139,7 +139,7 @@ def test_closure_layers_sum_to_the_closure_size():
 CORRUPTED_REPLAYS = """
 import sys
 from braidkit import hurwitz, rewriting, verify
-from braidkit.bands import band_factorization, parse_band_word
+from braidkit.bands import band_factorization, parse_band_word, standard_factorization
 
 if __debug__:
     sys.exit("expected to run under python -O")
@@ -162,6 +162,11 @@ real_apply_sequence = hurwitz.apply_sequence
 hurwitz.apply_sequence = lambda f, moves: f
 expect_replay_error("find_path", lambda: hurwitz.find_path(f1, f2))
 hurwitz.apply_sequence = real_apply_sequence
+real_apply_move = hurwitz.apply_move
+hurwitz.apply_move = lambda f, m: f
+expect_replay_error("orbit_explore",
+                    lambda: hurwitz.orbit_explore(standard_factorization(3), size_cap=5))
+hurwitz.apply_move = real_apply_move
 rewriting.apply_sequence = lambda f, moves: f
 expect_replay_error("hurwitz_path_positive", lambda: rewriting.hurwitz_path_positive(w1, w2))
 verify.step_to_move = lambda step, real=verify.step_to_move: real(step).inverted()
@@ -176,7 +181,7 @@ def test_corrupted_replays_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "find_path", "hurwitz_path_positive", "suite_twist_closure"]
+        "find_path", "orbit_explore", "hurwitz_path_positive", "suite_twist_closure"]
 
 
 # -- The interned searches against references over the public moves ----------

@@ -109,6 +109,21 @@ def test_a_wrong_compiled_move_fails_the_twist_closure_replay(monkeypatch):
         verify.suite_twist_closure(3)
 
 
+def test_the_twist_closure_replays_each_tree_edge_once(monkeypatch):
+    moved = []
+
+    def counted(factors, moves):
+        moves = list(moves)
+        moved.extend(moves)
+        return real(factors, moves)
+
+    real = hurwitz._move_letters
+    monkeypatch.setattr(hurwitz, "_move_letters", counted)
+    rep = verify.suite_twist_closure(3)
+    # 87 members, the root included, joined by 86 tree edges.
+    assert (rep["ok"], rep["checks"], len(moved)) == (True, 87, 86)
+
+
 # δ = a_{6,5} a_{5,4} a_{4,3} a_{3,2} a_{2,1}: its closure has 1,296
 # words, past the 500 above which the suite samples 100 members.
 HALF_TWIST_6 = parse_band_word("6:5 5:4 4:3 3:2 2:1", 6)
