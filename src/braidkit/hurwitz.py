@@ -188,10 +188,10 @@ class SearchTree:
     own deduplication keys: a neighbour is then one concatenation, and a
     str computes its hash once, for every later lookup.  A state's
     neighbours are its single pair rewrites: at each position, left to
-    right, `pairs(state[i:i+2])` lists the (replacement pair, label)
+    right, `pairs(state[i:i+2])` lists the (replacement pair, direction)
     rewrites in search order, and `grow` is the one loop that walks
-    them.  A step is (1-based position, label): the fields of a `Move`
-    here, and in `rewriting` the relation step itself.  `parents` maps each
+    them.  A step is (1-based position, direction): the fields of the `Move`
+    that realizes it, here and in `rewriting` alike.  `parents` maps each
     visited state to (parent, step), with (None, None) at the root,
     which is always held; `frontier` holds the newest layer, `layers`
     each non-empty layer's size from the root's 1, and `capped` records
@@ -226,7 +226,7 @@ class SearchTree:
         for at in self.frontier:
             for i in range(len(at) - 1):
                 head, tail = at[:i], at[i + 2 :]
-                for pair, label in pairs(at[i : i + 2]):
+                for pair, direction in pairs(at[i : i + 2]):
                     nb = head + pair + tail
                     if nb in parents:
                         continue
@@ -235,7 +235,7 @@ class SearchTree:
                         if nxt:
                             self.layers.append(len(nxt))
                         return
-                    parents[nb] = (at, (i + 1, label))
+                    parents[nb] = (at, (i + 1, direction))
                     nxt.append(nb)
                     yield nb
             yield None

@@ -1,9 +1,9 @@
-"""Rewriting positive band words and compiling rewrites to Hurwitz moves.
+"""Rewriting positive band words along Hurwitz moves.
 
 Two positive band words that are equal as braids can be transformed
 into one another by single relation applications on adjacent letters,
-staying positive throughout.  This module performs that search and
-translates each relation step into the Hurwitz move that realizes it on
+staying positive throughout.  This module performs that search, and
+each relation step it takes is the Hurwitz move that realizes it on
 the expanded factorizations.  Closures and path searches grow the
 breadth-first `SearchTree` of `hurwitz` over packed words: each
 letter a_{t,s} is the code point of its index in `all_generators`, which
@@ -18,19 +18,18 @@ dict's `__getitem__` is the tree's `pairs`.  The per-n tables hold only
 the letters and pairs a search meets, so a search on many strands builds
 no table of all C(n,2) letters.  `neighbors` reads one unbounded `grow`
 of a fresh tree, the same neighbour loop every search runs.
-`BandWord`s are built only for results, and a found path's steps are
-compiled as the tree holds them: `hurwitz_path_positive` replays the
+`BandWord`s are built only for results, and a found path is read as
+moves the way the tree holds it: `hurwitz_path_positive` replays the
 moves and returns the `PathResult` of `hurwitz`.
 
-A step is the (position, rule) pair a tree's parent links hold: the
-1-based position of the left letter of the rewritten pair and one of
-seven rules.  The chain relation's three equal products
-A = a_{t,s} a_{s,r}, B = a_{t,r} a_{t,s}, C = a_{s,r} a_{t,r} give six
-rules (A->B, B->C, C->A and their inverses); Comm swaps a commuting
-pair.  The cycle A -> B -> C -> A is exactly what one forward Hurwitz
-move does to the expanded pair, which is why the compilation table
-below sends those three rules (and Comm) to R_k and the other three to
-R_k^-1.
+A step is the (position, direction) pair a tree's parent links hold:
+the fields of the `Move` R_position^direction, whose position is that
+of the left letter of the rewritten pair.  The chain relation's three
+equal products A = a_{t,s} a_{s,r}, B = a_{t,r} a_{t,s},
+C = a_{s,r} a_{t,r} are what one forward move walks on the expanded
+pair, A -> B -> C -> A, and a backward move walks the cycle back; a
+forward move swaps a commuting pair in place.  At one position, then,
+a direction picks at most one rewrite.
 """
 
 from __future__ import annotations
@@ -59,41 +58,38 @@ from .hurwitz import (
 )
 from .words import InputError
 
-RULES = ("A->B", "B->C", "C->A", "B->A", "C->B", "A->C", "Comm")
-
-_FORWARD = {"A->B", "B->C", "C->A", "Comm"}
-
 DEFAULT_WORD_CAP = 10**6
 
 
 def _rewrites(x: BandGenerator, y: BandGenerator) -> tuple:
-    """The (replacement pair, rule) rewrites of the ordered pair x y, in RULES order.
+    """The (replacement pair, direction) rewrites of the ordered pair x y, forward first.
 
-    A chain pair moves to the other two forms of its relation, a
-    commuting pair swaps, and any other pair has no rewrite.  The two
+    A chain pair moves to the next form of its relation's cycle
+    A -> B -> C -> A by R^1 and to the previous one by R^-1, a commuting
+    pair swaps by R^1, and any other pair has no rewrite.  The two
     letters of a chain pair use exactly the relation's indices t > s > r,
     so the triple is read off them.
     """
     cls = classify_pair(x, y)
     if cls is PairClass.COMMUTING:
-        return (((y, x), "Comm"),)
+        return (((y, x), 1),)
     if cls is PairClass.INTERLEAVED:
         return ()
-    forms = chain_forms(x.n, *sorted({x.t, x.s, y.t, y.s}, reverse=True))
-    here = cls.value[-1]  # ChainA, ChainB or ChainC
-    return tuple((forms[rule[-1]], rule) for rule in RULES if rule.startswith(here + "->"))
+    forms = list(chain_forms(x.n, *sorted({x.t, x.s, y.t, y.s}, reverse=True)).values())
+    here = "ABC".index(cls.value[-1])  # ChainA, ChainB or ChainC
+    return ((forms[(here + 1) % 3], 1), (forms[here - 1], -1))
 
 
-def apply_step(w: BandWord, step: tuple[int, str]) -> BandWord:
-    """Rewrite one adjacent pair of w by the (position, rule) step."""
-    position, rule = step
-    if not 1 <= position < len(w.letters):
-        raise InputError(f"step position {position} out of range for length {len(w)}")
-    x, y = w.letters[position - 1 : position + 1]
-    for pair, name in _rewrites(x, y):
-        if name == rule:
-            return BandWord(w.n, w.letters[: position - 1] + pair + w.letters[position + 1 :])
-    raise InputError(f"rule {rule} does not apply to the {classify_pair(x, y).value} pair {x} {y}")
+def apply_step(w: BandWord, step: tuple[int, int]) -> BandWord:
+    """Rewrite one adjacent pair of w by the (position, direction) step."""
+    move = Move(*step)
+    if move.k >= len(w.letters):
+        raise InputError(f"step position {move.k} out of range for length {len(w)}")
+    x, y = w.letters[move.k - 1 : move.k + 1]
+    for pair, direction in _rewrites(x, y):
+        if direction == move.direction:
+            return BandWord(w.n, w.letters[: move.k - 1] + pair + w.letters[move.k + 1 :])
+    raise InputError(f"{move} does not rewrite the {classify_pair(x, y).value} pair {x} {y}")
 
 
 def _pack(letters: tuple[BandGenerator, ...]) -> str:
@@ -128,9 +124,9 @@ class _Letters(dict):
 class _PairTable(dict):
     """The rewrites of each ordered pair of packed letters, filled on first lookup.
 
-    `self[xy]` lists the (packed replacement pair, rule) rewrites of the
-    packed pair xy, a 2-character str, in search order (the order of
-    RULES), packed from `_rewrites` once per pair a search meets.
+    `self[xy]` lists the (packed replacement pair, direction) rewrites
+    of the packed pair xy, a 2-character str, in search order (forward
+    first), packed from `_rewrites` once per pair a search meets.
     """
 
     def __init__(self, gens: _Letters) -> None:
@@ -139,7 +135,7 @@ class _PairTable(dict):
 
     def __missing__(self, pair: str):
         x, y = map(self.gens.__getitem__, _decode(pair))
-        self[pair] = rewrites = tuple((_pack(p), rule) for p, rule in _rewrites(x, y))
+        self[pair] = rewrites = tuple((_pack(p), d) for p, d in _rewrites(x, y))
         return rewrites
 
 
@@ -160,7 +156,7 @@ def unpack(n: int, word: str) -> BandWord:
     return BandWord(n, tuple(map(gens.__getitem__, _decode(word))))
 
 
-def neighbors(w: BandWord) -> tuple[tuple[BandWord, tuple[int, str]], ...]:
+def neighbors(w: BandWord) -> tuple[tuple[BandWord, tuple[int, int]], ...]:
     """Every single-relation rewrite of w (see `_rewrites`), with the step that produces it."""
     # No two rewrites of w give the same word and none gives w itself,
     # so one unbounded layer of the tree holds every rewrite.
@@ -181,9 +177,10 @@ def closure_tree(w: BandWord, size_cap: int = DEFAULT_WORD_CAP) -> SearchTree:
     """The breadth-first tree of w's closure under single relation rewrites.
 
     States are packed words (see `unpack`); each parent link holds the
-    (position, rule) step to its state.  Rewrites preserve length, so the
-    closure is finite; the tree holds w under any cap, and `capped`
-    reports whether the cap cut the closure short.
+    (position, direction) step to its state, the fields of its `Move`.
+    Rewrites preserve length, so the closure is finite; the tree holds w
+    under any cap, and `capped` reports whether the cap cut the closure
+    short.
     """
     return _tree(w).close(size_cap)
 
@@ -195,31 +192,18 @@ def equivalence_class(w: BandWord, size_cap: int = DEFAULT_WORD_CAP) -> ClosureR
     return ClosureResult(words, tree.capped)
 
 
-def step_to_move(step: tuple[int, str]) -> Move:
-    """The Hurwitz move realizing a (position, rule) step on expanded factors.
-
-    Verified by algebra on the chain relation: a forward move conjugates
-    the right factor by the left, which walks the cycle A -> B -> C -> A,
-    and swaps a commuting pair in place.
-    """
-    position, rule = step
-    if rule not in RULES:
-        raise InputError(f"unknown rule {rule!r}")
-    return Move(position, 1 if rule in _FORWARD else -1)
-
-
 def hurwitz_path_positive(w1: BandWord, w2: BandWord, size_cap: int = DEFAULT_WORD_CAP) -> PathResult:
-    """Shortest relation path from w1 to w2, compiled to Hurwitz moves.
+    """Shortest relation path from w1 to w2, as the Hurwitz moves that realize it.
 
-    Words of different lengths are never relation-equivalent (every rule
+    Words of different lengths are never relation-equivalent (every rewrite
     preserves length), so that case is conclusively not_equal.  When the
     closure of w1 completes without meeting w2, not_equal is likewise
     conclusive; if the size cap fired first the answer is inconclusive.
     Frontiers are expanded in sorted word order, fixing which of the
-    shortest paths is returned.  Each step compiles through
-    `step_to_move`, and the moves are replay-verified: applied to the
-    expanded factorization of w1 they reproduce the expanded
-    factorization of w2, factor keys matching position by position.
+    shortest paths is returned.  Each step is read as the `Move` it
+    holds, and the moves are replay-verified: applied to the expanded
+    factorization of w1 they reproduce the expanded factorization of
+    w2, factor keys matching position by position.
     """
     if w1.n != w2.n:
         raise InputError(f"strand counts differ: {w1.n} vs {w2.n}")
@@ -234,7 +218,7 @@ def hurwitz_path_positive(w1: BandWord, w2: BandWord, size_cap: int = DEFAULT_WO
     if not found:
         status = "inconclusive" if tree.capped else "not_equal"
         return PathResult(status, None, len(tree.parents), tree.capped)
-    moves = tuple(map(step_to_move, tree.path(target)))
+    moves = tuple(Move(*step) for step in tree.path(target))
     check_replay(apply_sequence(band_factorization(w1), moves), band_factorization(w2),
                  "compiled move sequence")
     return PathResult("found", moves, len(tree.parents), tree.capped)

@@ -35,14 +35,7 @@ from .bands import (
 from .freegroup import act
 from .hurwitz import Move, _move_letters, apply_move, apply_sequence, check_replay, find_path, tuple_key
 from .normalform import canonical_key, equal
-from .rewriting import (
-    RULES,
-    apply_step,
-    closure_tree,
-    equivalence_class,
-    step_to_move,
-    unpack,
-)
+from .rewriting import apply_step, closure_tree, equivalence_class, unpack
 from .words import (
     BraidWord,
     InputError,
@@ -136,35 +129,36 @@ def _centrality_checks(n: int):
 
 
 def suite_chain_rules(n: int) -> dict:
-    """Every relation step is realized, on expansions, by its compiled move."""
+    """Every relation step is realized, on expansions, by the move it names."""
     commuting = _commuting(itertools.permutations(all_generators(n), 2))
     return _report("chain-rules", n, *_tally(_chain_rule_checks(n, commuting)),
                    commutingPairs=len(commuting))
 
 
-def _realizes(src: BandWord, step: tuple[int, str], rewritten: BandWord) -> bool:
-    """Whether the compiled move of step takes src's expansion to rewritten's."""
-    moved = apply_move(band_factorization(src), step_to_move(step))
+def _realizes(src: BandWord, step: tuple[int, int], rewritten: BandWord) -> bool:
+    """Whether the move of the (position, direction) step takes src's expansion to rewritten's."""
+    moved = apply_move(band_factorization(src), Move(*step))
     return moved.factor_keys == band_factorization(rewritten).factor_keys
 
 
 def _chain_rule_checks(n: int, commuting):
-    rules = [rule for rule in RULES if rule != "Comm"]
+    # R^1 walks the forms A -> B -> C -> A on expansions, R^-1 walks them back.
+    rules = (("A->B", 1), ("B->C", 1), ("C->A", 1), ("B->A", -1), ("C->B", -1), ("A->C", -1))
     for t, s, r in itertools.combinations(range(n, 0, -1), 3):
         words = {form: BandWord(n, pair) for form, pair in chain_forms(n, t, s, r).items()}
-        # The conjugation identity behind the move table.
+        # The conjugation identity behind the forward walk A -> B -> C -> A.
         lhs = conjugate(expand(BandGenerator(n, s, r)), inverse(expand(BandGenerator(n, t, s))))
         yield (equal(lhs, expand(BandGenerator(n, t, r))),
                f"conjugation identity fails at triple ({t},{s},{r})")
-        for rule in rules:
-            step = (1, rule)
+        for rule, direction in rules:
+            step = (1, direction)
             src, want = words[rule[0]], words[rule[-1]]
             if apply_step(src, step) != want:
                 yield False, f"step {rule} at ({t},{s},{r}) rewrites wrongly"
             else:
                 yield (_realizes(src, step, want),
                        f"move for {rule} at ({t},{s},{r}) does not realize the step")
-    step = (1, "Comm")
+    step = (1, 1)
     for x, y in commuting:
         src = BandWord(n, (x, y))
         yield _realizes(src, step, apply_step(src, step)), f"commuting move fails on ({x},{y})"
@@ -209,7 +203,7 @@ def suite_embedding(n: int) -> dict:
 
 
 def suite_twist_closure(n: int, size_cap: int = 200000, seed: int = DEFAULT_SEED) -> dict:
-    """Every member of the full twist's rewrite closure compiles back.
+    """Every member of the full twist's rewrite closure is replayed from its path's moves.
 
     Paths run from the target along one closure tree's parent links (moves
     are invertible, so that proves the same).  Members replay in breadth-first
@@ -228,7 +222,7 @@ def suite_twist_closure(n: int, size_cap: int = 200000, seed: int = DEFAULT_SEED
         if member in members:
             f, steps = ((certified[parent], [step]) if parent in certified
                         else (band_factorization(target), tree.path(member)))
-            got = apply_sequence(f, map(step_to_move, steps))
+            got = apply_sequence(f, (Move(*step) for step in steps))
             want = band_factorization(unpack(n, member))
             certified[member] = check_replay(got, want, "compiled move sequence")
     return _report("twist-closure", n, len(members), [],

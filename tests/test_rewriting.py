@@ -1,16 +1,16 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from braidkit.bands import band_factorization, parse_band_word
-from braidkit.hurwitz import Move, apply_sequence
+from braidkit import rewriting, verify
+from braidkit.bands import BandWord, all_generators, band_factorization, expand_word, parse_band_word
+from braidkit.hurwitz import Move, ReplayError, apply_move, apply_sequence
 from braidkit.normalform import equal
-from braidkit.bands import expand_word
 from braidkit.rewriting import (
-    RULES,
     apply_step,
     equivalence_class,
     hurwitz_path_positive,
     neighbors,
-    step_to_move,
 )
 from braidkit.words import InputError
 
@@ -21,12 +21,12 @@ def bw(text, n=3):
 
 def test_step_validation():
     w = bw("3:2 2:1")
-    assert apply_step(w, (1, "A->B")) == bw("3:1 3:2")
-    for step in [(0, "A->B"), (len(w), "A->B"), (1, "A->A")]:
+    assert apply_step(w, (1, 1)) == bw("3:1 3:2")
+    for step in [(0, 1), (len(w), 1), (1, 2)]:
         with pytest.raises(InputError):
             apply_step(w, step)
-    with pytest.raises(InputError, match="unknown rule"):
-        step_to_move((1, "A->A"))
+    with pytest.raises(InputError, match="move direction must be"):
+        apply_step(w, (1, 0))
 
 
 def test_apply_step_chain_forms():
@@ -34,27 +34,30 @@ def test_apply_step_chain_forms():
     a = bw("3:2 2:1")
     b = bw("3:1 3:2")
     c = bw("2:1 3:1")
-    assert apply_step(a, (1, "A->B")) == b
-    assert apply_step(b, (1, "B->C")) == c
-    assert apply_step(c, (1, "C->A")) == a
-    assert apply_step(b, (1, "B->A")) == a
-    assert apply_step(c, (1, "C->B")) == b
-    assert apply_step(a, (1, "A->C")) == c
+    # R_1 walks A -> B -> C -> A, R_1^-1 walks it back.
+    assert apply_step(a, (1, 1)) == b
+    assert apply_step(b, (1, 1)) == c
+    assert apply_step(c, (1, 1)) == a
+    assert apply_step(b, (1, -1)) == a
+    assert apply_step(c, (1, -1)) == b
+    assert apply_step(a, (1, -1)) == c
 
 
 def test_apply_step_commuting():
     w = bw("2:1 4:3", 4)
-    out = apply_step(w, (1, "Comm"))
+    out = apply_step(w, (1, 1))
     assert out == bw("4:3 2:1", 4)
 
 
 def test_apply_step_rejects_wrong_class():
-    with pytest.raises(InputError):
-        apply_step(bw("3:2 2:1"), (1, "B->C"))
-    with pytest.raises(InputError):
-        apply_step(bw("2:1 4:3", 4), (1, "A->B"))
-    with pytest.raises(InputError):
-        apply_step(bw("3:2 2:1"), (2, "A->B"))
+    # A pair rejects a move it does not have, and a position past the end.
+    with pytest.raises(InputError, match="R1\\^-1 does not rewrite the Commuting pair"):
+        apply_step(bw("2:1 4:3", 4), (1, -1))
+    for direction in (1, -1):
+        with pytest.raises(InputError, match="does not rewrite the Interleaved pair"):
+            apply_step(bw("2:1 3:2"), (1, direction))
+    with pytest.raises(InputError, match="out of range"):
+        apply_step(bw("3:2 2:1"), (2, 1))
 
 
 def test_every_step_preserves_the_product():
@@ -64,13 +67,11 @@ def test_every_step_preserves_the_product():
         assert equal(expand_word(nb), expand_word(w)), step
 
 
-def test_neighbors_positions_and_rules():
+def test_neighbors_positions_and_directions():
     w = bw("3:2 2:1")
     out = neighbors(w)
-    assert [step for _nb, step in out] == [
-        (1, "A->B"),
-        (1, "A->C"),
-    ]
+    # Forward first: A -> B by R_1, then A -> C by R_1^-1.
+    assert out == ((bw("3:1 3:2"), (1, 1)), (bw("2:1 3:1"), (1, -1)))
     assert neighbors(bw("2:1 3:2")) == ()
 
 
@@ -92,7 +93,7 @@ def test_equivalence_class_respects_size_cap():
 def test_relation_path_found_and_replayed():
     res = hurwitz_path_positive(bw("3:2 2:1"), bw("2:1 3:1"))
     assert res.status == "found"
-    # One A->C step, which compiles to R_1^-1.
+    # One A->C step, which R_1^-1 realizes.
     assert res.moves == (Move(1, -1),)
 
 
@@ -119,22 +120,54 @@ def test_relation_path_strand_mismatch():
         hurwitz_path_positive(bw("2:1"), bw("2:1", 4))
 
 
-def test_step_to_move_table():
-    assert step_to_move((2, "A->B")) == Move(2, 1)
-    assert step_to_move((1, "B->C")) == Move(1, 1)
-    assert step_to_move((3, "C->A")) == Move(3, 1)
-    assert step_to_move((1, "Comm")) == Move(1, 1)
-    assert step_to_move((1, "B->A")) == Move(1, -1)
-    assert step_to_move((4, "C->B")) == Move(4, -1)
-    assert step_to_move((2, "A->C")) == Move(2, -1)
-    assert set(RULES) == {"A->B", "B->C", "C->A", "B->A", "C->B", "A->C", "Comm"}
+@st.composite
+def positive_band_words(draw):
+    n = draw(st.integers(3, 6))
+    letters = draw(st.lists(st.sampled_from(all_generators(n)), min_size=2, max_size=6))
+    return BandWord(n, tuple(letters))
 
 
-def test_each_rule_compiles_to_a_move_that_replays():
-    a = bw("3:2 2:1")
-    for nb, step in neighbors(a):
-        moved = apply_sequence(band_factorization(a), [step_to_move(step)])
-        assert moved.factor_keys == band_factorization(nb).factor_keys
+@settings(max_examples=150, deadline=None)
+@given(positive_band_words())
+@example(bw("3:2 2:1"))
+def test_every_rewrite_is_realized_by_its_own_label(w):
+    # Commuting swaps and every chain form, at every position.
+    f = band_factorization(w)
+    for nb, step in neighbors(w):
+        assert apply_move(f, Move(*step)).factor_keys == band_factorization(nb).factor_keys, step
+
+
+@pytest.fixture
+def flipped_chain_labels(monkeypatch):
+    """`_rewrites` with its two chain labels swapped, on freshly built pair tables."""
+    real = rewriting._rewrites
+
+    def flipped(x, y):
+        rewrites = real(x, y)
+        return tuple((pair, -d) for pair, d in rewrites) if len(rewrites) == 2 else rewrites
+
+    rewriting._letter_table.cache_clear()
+    monkeypatch.setattr(rewriting, "_rewrites", flipped)
+    yield
+    monkeypatch.undo()
+    rewriting._letter_table.cache_clear()
+
+
+def test_a_mislabelled_pair_table_fails_every_chain_rule(flipped_chain_labels):
+    rep = verify.suite_chain_rules(4)
+    assert (rep["checks"], rep["ok"]) == (32, False)
+    assert len(rep["failures"]) == 24
+    assert all(msg.endswith("rewrites wrongly") for msg in rep["failures"])
+
+
+def test_a_mislabelled_pair_table_fails_the_twist_closure_replay(flipped_chain_labels):
+    with pytest.raises(ReplayError):
+        verify.suite_twist_closure(3)
+
+
+def test_a_mislabelled_pair_table_fails_the_path_replay(flipped_chain_labels):
+    with pytest.raises(ReplayError):
+        hurwitz_path_positive(bw("3:2 2:1"), bw("2:1 3:1"))
 
 
 def test_hurwitz_path_positive_single_step():
@@ -176,8 +209,8 @@ def test_intermediate_words_stay_positive_band_expansions():
 
     expansions = {canonical_key(expand(a)) for a in all_generators(3)}
     w1 = bw("2:1 3:2 2:1 3:2 2:1 3:2")
-    w2 = apply_step(w1, (2, "A->B"))
-    w2 = apply_step(w2, (4, "A->B"))
+    w2 = apply_step(w1, (2, 1))
+    w2 = apply_step(w2, (4, 1))
     res = hurwitz_path_positive(w1, w2)
     assert res.status == "found"
     f = band_factorization(w1)

@@ -36,14 +36,12 @@ from braidkit.hurwitz import (
     tuple_key,
 )
 from braidkit.rewriting import (
-    RULES,
     _letter_table,
     apply_step,
     closure_tree,
     equivalence_class,
     hurwitz_path_positive,
     neighbors,
-    step_to_move,
 )
 from braidkit.words import InputError, compose_all, conjugate, inverse, parse_word
 from child_env import child_env
@@ -169,7 +167,7 @@ expect_replay_error("orbit_explore",
 hurwitz.apply_move = real_apply_move
 rewriting.apply_sequence = lambda f, moves: f
 expect_replay_error("hurwitz_path_positive", lambda: rewriting.hurwitz_path_positive(w1, w2))
-verify.step_to_move = lambda step, real=verify.step_to_move: real(step).inverted()
+verify.Move = lambda k, d: hurwitz.Move(k, -d)
 expect_replay_error("suite_twist_closure", lambda: verify.suite_twist_closure(3))
 """
 
@@ -422,11 +420,11 @@ def test_carried_vectors_are_the_coordinates_of_the_kept_words(n, steps, rng):
 
 
 def reference_neighbors(w):
-    """Every rewrite `apply_step` accepts, position by position, in RULES order."""
+    """Every rewrite `apply_step` accepts, position by position, forward first."""
     out = []
     for i in range(len(w) - 1):
-        for rule in RULES:
-            step = (i + 1, rule)
+        for direction in (1, -1):
+            step = (i + 1, direction)
             try:
                 out.append((apply_step(w, step), step))
             except InputError:
@@ -448,21 +446,22 @@ def test_the_packed_pair_table_agrees_with_classify_pair_and_apply_step(n):
     want = {}
     for t, s, r in itertools.combinations(range(n, 0, -1), 3):
         forms = chain_forms(n, t, s, r)
-        for here, pair in forms.items():
-            want[index[pair[0]], index[pair[1]]] = [
-                ((index[forms[rule[-1]][0]], index[forms[rule[-1]][1]]), rule)
-                for rule in RULES if rule.startswith(here + "->")]
+        # R^1 walks the forms A -> B -> C -> A, R^-1 walks them back.
+        for here, there, back in ("ABC", "BCA", "CAB"):
+            want[index[forms[here][0]], index[forms[here][1]]] = [
+                ((index[forms[to][0]], index[forms[to][1]]), direction)
+                for to, direction in ((there, 1), (back, -1))]
     for x in gens:
         for y in gens:
             if commute(x, y):
-                want[index[x], index[y]] = [((index[y], index[x]), "Comm")]
+                want[index[x], index[y]] = [((index[y], index[x]), 1)]
     for x in gens:
         for y in gens:
-            got = [(tuple(_decode(p)), rule) for p, rule in pairs[_encode((index[x], index[y]))]]
+            got = [(tuple(_decode(p)), d) for p, d in pairs[_encode((index[x], index[y]))]]
             assert got == want.get((index[x], index[y]), []), (x, y)
             assert (not got) == (classify_pair(x, y) is PairClass.INTERLEAVED)
-            assert got == [((index[nb.letters[0]], index[nb.letters[1]]), rule)
-                           for nb, (_, rule) in reference_neighbors(BandWord(n, (x, y)))]
+            assert got == [((index[nb.letters[0]], index[nb.letters[1]]), d)
+                           for nb, (_, d) in reference_neighbors(BandWord(n, (x, y)))]
 
 
 def test_neighbors_match_the_reference_on_whole_words():
@@ -551,10 +550,11 @@ def reference_closure(w, size_cap):
 
 
 def reference_relation_path(w1, w2, size_cap):
-    """The shortest relation path, its steps compiled by `step_to_move`.
+    """The shortest relation path, its steps read as moves.
 
-    Comparing moves compares steps: at a given position of a given word
-    the move direction picks exactly one rule.
+    Comparing moves compares steps: a step is the (position, direction)
+    of its move, and at a given position of a given word the direction
+    picks exactly one rewrite.
     """
     target = letters(w2)
     parents = {letters(w1): (None, None)}
@@ -578,7 +578,7 @@ def reference_relation_path(w1, w2, size_cap):
                     while parents[key][0] is not None:
                         key, step = parents[key]
                         steps.append(step)
-                    return "found", tuple(map(step_to_move, steps[::-1])), len(parents), capped
+                    return "found", tuple(Move(*step) for step in steps[::-1]), len(parents), capped
                 nxt.append(nb)
         frontier = nxt
     return ("inconclusive" if capped else "not_equal"), None, len(parents), capped

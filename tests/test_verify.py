@@ -6,7 +6,7 @@ import pytest
 
 from braidkit import bands, freegroup, hurwitz, normalform, verify
 from braidkit.bands import BandWord, parse_band_word
-from braidkit.hurwitz import PathResult, ReplayError
+from braidkit.hurwitz import Move, PathResult, ReplayError
 from braidkit.verify import SUITE_NAMES, run_suite, suite_conjugated_split, suite_embedding
 
 
@@ -88,8 +88,7 @@ def test_a_wrong_rewrite_fails_its_rule_once_and_skips_the_move_check(monkeypatc
 
 
 def test_a_wrong_compiled_move_fails_every_chain_rule(monkeypatch):
-    real = verify.step_to_move
-    monkeypatch.setattr(verify, "step_to_move", lambda step: real(step).inverted())
+    monkeypatch.setattr(verify, "Move", lambda k, d: Move(k, -d))
     rep = verify.suite_chain_rules(4)
     assert rep["checks"] == 32
     assert len(rep["failures"]) == 24
@@ -103,8 +102,7 @@ def test_a_capped_twist_closure_is_inconclusive():
 
 
 def test_a_wrong_compiled_move_fails_the_twist_closure_replay(monkeypatch):
-    real = verify.step_to_move
-    monkeypatch.setattr(verify, "step_to_move", lambda step: real(step).inverted())
+    monkeypatch.setattr(verify, "Move", lambda k, d: Move(k, -d))
     with pytest.raises(ReplayError):
         verify.suite_twist_closure(3)
 
@@ -138,8 +136,7 @@ def test_a_large_twist_closure_replays_a_sample(monkeypatch):
 
 def test_a_wrong_compiled_move_fails_the_sampled_twist_closure_replay(monkeypatch):
     monkeypatch.setattr(verify, "standard_band_word", lambda n: HALF_TWIST_6)
-    real = verify.step_to_move
-    monkeypatch.setattr(verify, "step_to_move", lambda step: real(step).inverted())
+    monkeypatch.setattr(verify, "Move", lambda k, d: Move(k, -d))
     with pytest.raises(ReplayError):
         verify.suite_twist_closure(6)
 
