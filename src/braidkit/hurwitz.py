@@ -16,19 +16,25 @@ never changes.
 `tuple_key` is the public key of one `Factorization`: the per-factor
 canonical keys joined with ";", so two factorizations share a key
 exactly when their factors are equal as braids position by position.
-Orbit and path search do not build a `Factorization` per state.  Each
-search interns the factors it meets as small ints keyed by their
-Dynnikov coordinates (`freegroup`), which are the same for exactly the
-words equal as braids, and a state is the str whose code points are its
-factors' ids (see `SearchTree`), so two states are equal exactly when
-their tuple keys are.  One memoized move table maps a pair of ids, a
-2-character str, to the pairs R_k and R_k^-1 leave.  An
-entry is filled once per distinct pair of factors by acting on the
-coordinates each id carries, and a word is built, by the move formula
-`apply_move` uses, only for a factor whose coordinates are new.  Normal
-forms serve only the replay checks and an orbit's keys, which its
-`OrbitReport` builds when they are first read: joined back into
-`tuple_key` text and sorted, so output is reproducible run to run.
+Orbit and path search do not build a `Factorization` per state.  The
+searches on n strands share one table (`_table`), which interns the
+factors they meet as small ints keyed by their Dynnikov coordinates
+(`freegroup`), the same for exactly the words equal as braids, and a
+state is the str whose code points are its factors' ids (see
+`SearchTree`), so two states are equal exactly when their tuple keys
+are.  The table's memoized move map sends a pair of ids, a 2-character
+str, to the pairs R_k and R_k^-1 leave.  An entry is filled once per
+distinct pair of factors, for every later search on n strands too, by
+acting on the coordinates each id carries, and a word is built, by the
+move formula `apply_move` uses, only for a factor whose coordinates are
+new.  A search starts a fresh table, which replaces the kept one, when
+the kept one holds more than `_SHARED_LIMIT` (4,096) factors or filled
+pairs, so one wide search does not leave later ones growing its table.
+No answer depends on an id's value: trees grow by position and
+direction, and ids are in bijection with braids.  Normal forms serve
+only the replay checks and an orbit's keys, which its `OrbitReport`
+builds when they are first read: joined back into `tuple_key` text and
+sorted, so output is reproducible run to run.
 
 Every breadth-first search in the package, these two and the relation
 rewrites of `rewriting`, grows a `SearchTree` whose states change one
@@ -49,8 +55,10 @@ factorizations, as is the move that admitted an orbit's last state, and
 Orbits of full-twist factorizations are infinite from 3 strands on, so
 orbit and path search hold at most `DEFAULT_SIZE_CAP` (50,000) states
 unless the caller gives a size cap.  A code point is at most
-`sys.maxunicode` (1,114,111), so one search interns at most 1,114,112
-distinct factors; the next raises `InputError`.
+`sys.maxunicode` (1,114,111), so one table interns at most 1,114,112
+distinct factors, and a search at least 1,114,112 - 4,096 new ones;
+the next raises `InputError`, and the table that raised it is past the
+bound, so no later search reuses it.
 
 Serialized moves are signed integers: k stands for R_k and -k for
 R_k^-1.
@@ -272,15 +280,17 @@ class SearchTree:
 
 
 class _FactorTable(dict):
-    """The factors one search meets, interned as small ints, and its move table.
+    """The factors searches on n strands meet, interned as small ints, and their move table.
 
     A factor's id stands for its braid: ids are keyed by the factor's
     Dynnikov vector (`freegroup.dynnikov_coordinates`, the image of the
     trivial lamination), which is the same for exactly the words equal
     as braids.  For each id the table keeps the first freely reduced
     word met for it, the letters of that word's inverse, and the vectors
-    of both.  A state is the str of its factors' ids (`_encode`).  As a
-    dict the table maps a pair of ids (a, b), a 2-character str, to
+    of both; `words` holds the words kept for every search that used
+    the table (see `_table`).  A state is the str of its factors' ids
+    (`_encode`).  As a dict the table maps a pair of ids (a, b), a
+    2-character str, to
     (((a b a^-1, a), 1), ((b, b^-1 a b), -1)), the pairs R_k and R_k^-1
     leave, encoded the same way; its `__getitem__` is the tree's `pairs`.
     Only the pairs a search expands are filled, so a tree that stops at
@@ -292,7 +302,9 @@ class _FactorTable(dict):
     direction.  A new factor's word is built by `_conjugate_letters`,
     the conjugation `apply_sequence` uses, and kept only when its vector
     is new, and no fill computes a normal form.  An id past
-    `_MAX_CELL` raises `InputError`.
+    `_MAX_CELL` raises `InputError`.  A new id is published in `ids` only
+    after its word, inverse and vectors are stored, so a fill that stops
+    part way leaves no id without its word in a table later searches reuse.
     """
 
     def __init__(self, n: int) -> None:
@@ -309,11 +321,11 @@ class _FactorTable(dict):
         if fid > _MAX_CELL:
             raise InputError(f"a search holds at most {_MAX_CELL + 1:,} distinct factors "
                             "(one code point each)")
-        self.ids[vector] = fid
         self.words.append(word)
         self.inverses.append(_inverse(word.letters))
         self.vectors.append(vector)
         self.inverse_vectors.append(inverse_vector)
+        self.ids[vector] = fid
         return fid
 
     def state(self, f: Factorization) -> str:
@@ -351,15 +363,31 @@ class _FactorTable(dict):
         return moved
 
 
+# The bound on a kept table (see `_table`); a default-cap orbit on 3
+# strands leaves some 1,600 factors, 4,800 pairs and 5 MB.
+_SHARED_LIMIT = 4_096
+
+_TABLES: dict[int, _FactorTable] = {}
+
+
+def _table(n: int) -> _FactorTable:
+    """The searches' table on n strands, a fresh one if the kept one is past the bound."""
+    table = _TABLES.get(n)
+    if table is None or max(len(table), len(table.words)) > _SHARED_LIMIT:
+        table = _TABLES[n] = _FactorTable(n)
+    return table
+
+
 @dataclass(frozen=True)
 class OrbitReport:
     """What `orbit_explore` found; `keys` are built when first read.
 
     `states` are the held states, strs whose code points (`_decode`) are
-    ids into `words`, the search's kept factor words, and `keys` their
-    sorted tuple keys, built from the words' normal forms on first
-    read.  Keys passed in are taken as given, so `dataclasses.replace`
-    can set them.
+    ids into `words`, the factor words the search's table kept (for
+    earlier searches on its strand count too), and `keys` their sorted
+    tuple keys, built on first read from the normal forms of the words
+    the states use, each once.  Keys passed in are taken as given, so
+    `dataclasses.replace` can set them.
     """
 
     visited: int
@@ -376,7 +404,8 @@ class OrbitReport:
 
     @cached_property
     def keys(self) -> tuple[str, ...]:
-        factor_keys = list(map(canonical_key, self.words))
+        used = set(_decode("".join(self.states)))
+        factor_keys = {fid: canonical_key(self.words[fid]) for fid in used}
         return tuple(sorted(";".join(map(factor_keys.__getitem__, _decode(s)))
                             for s in self.states))
 
@@ -393,7 +422,7 @@ def orbit_explore(
     neighbor, so generous caps on a small orbit stay untruncated.  The
     move that admitted the last state is certified on the pair it moved.
     """
-    table = _FactorTable(f.n)
+    table = _table(f.n)
     tree = SearchTree(table.state(f), table.__getitem__).close(size_cap, depth_cap)
     # Coordinates alone told the states apart, so `apply_move` replays the
     # move that admitted the last state on the parent's pair at its position.
@@ -455,7 +484,7 @@ def find_path(
         check_replay(apply_sequence(f1, moves), f2, "move path")
         return PathResult("found", tuple(moves), visited, False)
 
-    table = _FactorTable(f1.n)
+    table = _table(f1.n)
     fwd = SearchTree(table.state(f1), table.__getitem__)
     bwd = SearchTree(table.state(f2), table.__getitem__)
     if fwd.root == bwd.root:

@@ -274,13 +274,21 @@ def test_factor_ids_stop_at_the_last_code_point(capsys, monkeypatch, room, facto
                 [None] * taken for _ in range(4))
 
     monkeypatch.setattr(hurwitz, "_FactorTable", Crowded)
-    got, out, err = run(capsys, "orbit", json.dumps({"strands": 3, "factors": factors}))
+    monkeypatch.setattr(hurwitz, "_TABLES", {})
+    factorization = json.dumps({"strands": 3, "factors": factors})
+    got, out, err = run(capsys, "orbit", factorization)
     if code == 0:
         assert (got, out, err) == (0, "visited=1 truncated=False depths=1\n", "")
     else:
         assert (got, out) == (3, "")
         assert err == ("error: a search holds at most 1,114,112 distinct factors "
                        "(one code point each)\n")
+        # The crowded table is past the bound, so the next search starts
+        # afresh and answers as a search with no kept table does.
+        monkeypatch.setattr(hurwitz, "_FactorTable", Crowded.__base__)
+        again = run(capsys, "orbit", factorization)
+        monkeypatch.setattr(hurwitz, "_TABLES", {})
+        assert again == run(capsys, "orbit", factorization) and again[0] == 0
 
 
 def test_output_does_not_depend_on_the_hash_seed():

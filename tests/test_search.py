@@ -1,6 +1,7 @@
 """Contracts every breadth-first search shares: caps and replay checks."""
 
 import contextlib
+import functools
 import itertools
 import random
 import subprocess
@@ -337,7 +338,10 @@ def test_find_path_matches_a_reference_search_over_apply_move():
 @contextlib.contextmanager
 def recorded_tables():
     """Every move table the searches build while the context is open, each
-    recording its fills in order as (pair, canonical keys looked up during the fill)."""
+    recording its fills in order as (pair, canonical keys looked up during the fill).
+
+    The searches start from no kept table, and the kept tables are restored
+    when the context closes."""
     real, lookups, made = normalform.canonical_key, [0], []
 
     def counted(w):
@@ -361,6 +365,7 @@ def recorded_tables():
             if name.startswith("braidkit") and getattr(module, "canonical_key", None) is real:
                 mp.setattr(module, "canonical_key", counted)
         mp.setattr(hurwitz, "_FactorTable", Recorded)
+        mp.setattr(hurwitz, "_TABLES", {})
         yield made
 
 
@@ -408,15 +413,81 @@ def test_carried_vectors_are_the_coordinates_of_the_kept_words(n, steps, rng):
     with recorded_tables() as tables:
         orbit_explore(f, size_cap=60)
         find_path(f, walk(f, rng, 3), size_cap=60)
-    assert len(tables) == 2
-    for table in tables:
-        assert list(table.ids.values()) == list(range(len(table.words)))
-        for fid, w in enumerate(table.words):
-            assert table.ids[table.vectors[fid]] == fid
-            assert table.vectors[fid] == dynnikov_coordinates(w)
-            assert table.inverse_vectors[fid] == dynnikov_coordinates(inverse(w))
-            assert table.inverses[fid] == inverse(w).letters
-        check_entries(table)
+    (table,) = tables  # one table serves both searches
+    assert list(table.ids.values()) == list(range(len(table.words)))
+    for fid, w in enumerate(table.words):
+        assert table.ids[table.vectors[fid]] == fid
+        assert table.vectors[fid] == dynnikov_coordinates(w)
+        assert table.inverse_vectors[fid] == dynnikov_coordinates(inverse(w))
+        assert table.inverses[fid] == inverse(w).letters
+    check_entries(table)
+
+
+def answer(result):
+    """Every field of a search's report that an id's value could sway."""
+    if isinstance(result, hurwitz.OrbitReport):
+        return result.visited, result.depth_counts, result.truncated, result.keys
+    return result.status, result.moves, result.visited, result.truncated
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 5), st.randoms(use_true_random=False), st.data())
+def test_sharing_a_table_never_changes_an_answer(n, rng, data):
+    start = walk(standard_factorization(n), rng, 2)
+    calls = []
+    for _ in range(data.draw(st.integers(2, 4), label="searches")):
+        f, cap = walk(start, rng, rng.randint(0, 3)), data.draw(st.integers(20, 120))
+        if data.draw(st.booleans(), label="orbit"):
+            calls.append(functools.partial(orbit_explore, f, size_cap=cap))
+        else:
+            calls.append(functools.partial(find_path, f, walk(f, rng, 3), size_cap=cap))
+    with recorded_tables() as tables:
+        shared = [answer(call()) for call in calls]
+        (table,) = tables
+        filled = len(table.fills)
+        calls[0]()
+    pairs = [pair for pair, _ in table.fills]
+    # Later searches read the pairs earlier ones filled, and a rerun fills none.
+    assert len(pairs) == len(set(pairs)) == filled
+    for call, got in zip(calls, shared):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hurwitz, "_TABLES", {})
+            assert answer(call()) == got
+
+
+@pytest.mark.parametrize("n, size_cap", [
+    (3, 200),  # more filled pairs than factors
+    (5, 1),  # more factors than filled pairs
+])
+def test_a_search_starts_a_fresh_table_once_the_kept_one_is_past_the_bound(
+        monkeypatch, n, size_cap):
+    monkeypatch.setattr(hurwitz, "_TABLES", {})
+    f = standard_factorization(n)
+    first = answer(orbit_explore(f, size_cap=size_cap))
+    table = hurwitz._TABLES[n]
+    counts = len(table), len(table.words)
+    assert counts[0] != counts[1] and max(counts) <= hurwitz._SHARED_LIMIT
+    for limit, kept in ((max(counts), True), (max(counts) - 1, False)):
+        monkeypatch.setattr(hurwitz, "_SHARED_LIMIT", limit)
+        hurwitz._TABLES[n] = table
+        assert answer(orbit_explore(f, size_cap=size_cap)) == first
+        assert (hurwitz._TABLES[n] is table) == kept
+        assert (len(table), len(table.words)) == counts  # the rerun filled nothing
+
+
+def test_an_orbits_keys_normalize_each_id_its_states_use_once(monkeypatch):
+    monkeypatch.setattr(hurwitz, "_TABLES", {})
+    orbit_explore(standard_factorization(3), size_cap=2000)
+    rep = orbit_explore(fact(3, "1", "2", "1 2 -1"), size_cap=5)
+    used = set(_decode("".join(rep.states)))
+    assert rep.visited == 5 and len(rep.words) > 10 * len(used)  # the wide search's words
+    normalized = []
+    monkeypatch.setattr(hurwitz, "canonical_key",
+                        lambda w: normalized.append(w) or normalform.canonical_key(w))
+    keys = rep.keys
+    assert len(normalized) <= len(used)
+    monkeypatch.setattr(hurwitz, "_TABLES", {})
+    assert orbit_explore(fact(3, "1", "2", "1 2 -1"), size_cap=5).keys == keys
 
 
 def reference_neighbors(w):
@@ -498,7 +569,8 @@ def test_packed_words_unpack_and_sort_as_their_letters_do(data):
     assert sorted(packed) == [rewriting._pack(w) for w in by_letters]
 
 
-def test_factor_table_states_decode_to_the_ids_of_the_kept_words():
+def test_factor_table_states_decode_to_the_ids_of_the_kept_words(monkeypatch):
+    monkeypatch.setattr(hurwitz, "_TABLES", {})  # each orbit starts a table as this one does
     key = normalform.canonical_key
     for n in (3, 4, 5):
         f = walk(standard_factorization(n), random.Random(n), 3)
