@@ -10,10 +10,13 @@ with two relation families.  For r < s < t the three products
 
     a_{t,s} a_{s,r}  =  a_{t,r} a_{t,s}  =  a_{s,r} a_{t,r}
 
-are equal (the chain relation; the three forms are labelled A, B, C in
+are equal (the chain relation; `chain_forms` labels them A, B, C in
 that order), and a_{t,s} a_{r,q} = a_{r,q} a_{t,s} exactly when
 (t-r)(t-q)(s-r)(s-q) > 0 (the commuting relation).  `classify_pair`
 decides which relation, if any, applies to an ordered pair of letters.
+Each relation is a Hurwitz move: on a chain pair x y, x y x^-1 =
+y^-1 x y = z, the band on the ends x and y do not share, so R leaves z x
+(A -> B -> C -> A) and R^-1 leaves y z; R swaps a commuting pair.
 
 Band-word text format: whitespace-separated "t:s" tokens, e.g.
 "3:1 2:1".  Band words are positive (no inverse letters).
@@ -122,9 +125,7 @@ def expand_word(w: BandWord) -> BraidWord:
 
 
 class PairClass(enum.Enum):
-    CHAIN_A = "ChainA"
-    CHAIN_B = "ChainB"
-    CHAIN_C = "ChainC"
+    CHAIN = "Chain"
     COMMUTING = "Commuting"
     INTERLEAVED = "Interleaved"
 
@@ -132,19 +133,15 @@ class PairClass(enum.Enum):
 def classify_pair(x: BandGenerator, y: BandGenerator) -> PairClass:
     """Which relation applies to the ordered product x y.
 
-    The chain patterns are checked first; they share an index, so they
-    are disjoint from the commuting predicate, and at most one pattern
-    can match a given ordered pair.  Pairs in no relation (including a
-    letter beside itself) are Interleaved.
+    x y is a chain form when x ends where y starts (A), or when the two
+    share one end and x comes first in (t, s) order (B and C).  Chain
+    pairs share an end, so no commuting pair is one.  Pairs in no
+    relation (including a letter beside itself) are Interleaved.
     """
     if x.n != y.n:
         raise InputError(f"strand counts differ: {x.n} vs {y.n}")
-    if x.s == y.t:
-        return PairClass.CHAIN_A
-    if x.t == y.t and x.s < y.s:
-        return PairClass.CHAIN_B
-    if x.s == y.s and x.t < y.t:
-        return PairClass.CHAIN_C
+    if x.s == y.t or ((x.t == y.t or x.s == y.s) and (x.t, x.s) < (y.t, y.s)):
+        return PairClass.CHAIN
     if (x.t - y.t) * (x.t - y.s) * (x.s - y.t) * (x.s - y.s) > 0:
         return PairClass.COMMUTING
     return PairClass.INTERLEAVED

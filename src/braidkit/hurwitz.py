@@ -75,7 +75,7 @@ from functools import cached_property
 from .bands import Factorization
 from .freegroup import act
 from .normalform import canonical_key
-from .words import BraidWord, InputError, _conjugate_letters, _inverse
+from .words import MAX_LETTERS, BraidWord, InputError, _conjugate_letters, _inverse
 
 
 DEFAULT_SIZE_CAP = 50_000
@@ -158,15 +158,21 @@ def _move_letters(factors, moves) -> list:
     """The letter tuples of freely reduced factors moved by each move in turn.
 
     A factor left in place stays the same tuple in the returned list.
+    The pairs the moves leave hold at most `MAX_LETTERS` letters in all:
+    the move that passes it raises `InputError`.
     """
-    factors = list(factors)
+    factors, letters = list(factors), 0
     for idx, m in enumerate(moves):
         if m.k > len(factors) - 1:
             raise InputError(f"move {idx + 1} of the sequence: move {m} out of range "
                             f"for a factorization of length {len(factors)}")
         i = m.k - 1
-        factors[i : i + 2] = _move_pair(factors[i], factors[i + 1], m.direction,
-                                        _conjugate_letters)
+        factors[i : i + 2] = x, y = _move_pair(factors[i], factors[i + 1], m.direction,
+                                               _conjugate_letters)
+        letters += len(x) + len(y)
+        if letters > MAX_LETTERS:
+            raise InputError(f"move {idx + 1} of the sequence: the moved pairs pass "
+                             f"{MAX_LETTERS:,} letters in all")
     return factors
 
 

@@ -10,13 +10,12 @@ letter a_{t,s} is the code point of its index in `all_generators`, which
 keeps the (t, s) order, so sorting packed words sorts the words.  A code
 point is at most `sys.maxunicode`, so a search holds letters up to
 a_{1494,334} (every letter on at most 1,493 strands), and a later letter
-raises `InputError`.  `_rewrites` alone says
-which rewrites apply to an ordered pair of letters, reading a chain
-pair's relation triple off the pair's own indices: `apply_step` reads
-it, and a per-n dict packs its answer per pair on first lookup; that
-dict's `__getitem__` is the tree's `pairs`.  The per-n tables hold only
-the letters and pairs a search meets, so a search on many strands builds
-no table of all C(n,2) letters.  `neighbors` reads one unbounded `grow`
+raises `InputError`.  `_rewrites` alone says which rewrites apply to an
+ordered pair of letters: `apply_step` reads it, and one `_PairTable` per
+strand count packs its answer per pair on first lookup; that table's
+`__getitem__` is the tree's `pairs`.  A table holds only the letters and
+pairs a search meets, so a search on many strands builds no table of
+all C(n,2) letters.  `neighbors` reads one unbounded `grow`
 of a fresh tree, the same neighbour loop every search runs.
 `BandWord`s are built only for results, and a found path is read as
 moves the way the tree holds it: `hurwitz_path_positive` replays the
@@ -24,12 +23,12 @@ moves and returns the `PathResult` of `hurwitz`.
 
 A step is the (position, direction) pair a tree's parent links hold:
 the fields of the `Move` R_position^direction, whose position is that
-of the left letter of the rewritten pair.  The chain relation's three
-equal products A = a_{t,s} a_{s,r}, B = a_{t,r} a_{t,s},
-C = a_{s,r} a_{t,r} are what one forward move walks on the expanded
-pair, A -> B -> C -> A, and a backward move walks the cycle back; a
-forward move swaps a commuting pair in place.  At one position, then,
-a direction picks at most one rewrite.
+of the left letter of the rewritten pair.  A rewrite is the pair the
+move leaves on the expanded letters: on a chain pair x y,
+x y x^-1 = y^-1 x y = z, the band on the two ends x and y do not share,
+so R^1 leaves z x and R^-1 leaves y z, walking the chain relation's
+forms A -> B -> C -> A and back (see `bands`), and R^1 swaps a commuting
+pair.  At one position, then, a direction picks at most one rewrite.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .bands import (
     BandWord,
     PairClass,
     band_factorization,
-    chain_forms,
     classify_pair,
 )
 from .hurwitz import (
@@ -64,20 +62,16 @@ DEFAULT_WORD_CAP = 10**6
 def _rewrites(x: BandGenerator, y: BandGenerator) -> tuple:
     """The (replacement pair, direction) rewrites of the ordered pair x y, forward first.
 
-    A chain pair moves to the next form of its relation's cycle
-    A -> B -> C -> A by R^1 and to the previous one by R^-1, a commuting
-    pair swaps by R^1, and any other pair has no rewrite.  The two
-    letters of a chain pair use exactly the relation's indices t > s > r,
-    so the triple is read off them.
+    Each is the pair a Hurwitz move leaves: R^1 leaves (z, x) and R^-1
+    leaves (y, z) on a chain pair, where z is the band on the ends x and
+    y do not share; R^1 swaps a commuting pair; any other pair has no
+    rewrite.
     """
     cls = classify_pair(x, y)
-    if cls is PairClass.COMMUTING:
-        return (((y, x), 1),)
-    if cls is PairClass.INTERLEAVED:
-        return ()
-    forms = list(chain_forms(x.n, *sorted({x.t, x.s, y.t, y.s}, reverse=True)).values())
-    here = "ABC".index(cls.value[-1])  # ChainA, ChainB or ChainC
-    return ((forms[(here + 1) % 3], 1), (forms[here - 1], -1))
+    if cls is PairClass.CHAIN:
+        z = BandGenerator(x.n, *sorted({x.t, x.s} ^ {y.t, y.s}, reverse=True))
+        return (((z, x), 1), ((y, z), -1))
+    return (((y, x), 1),) if cls is PairClass.COMMUTING else ()
 
 
 def apply_step(w: BandWord, step: tuple[int, int]) -> BandWord:
@@ -122,38 +116,34 @@ class _Letters(dict):
 
 
 class _PairTable(dict):
-    """The rewrites of each ordered pair of packed letters, filled on first lookup.
+    """The rewrites of each ordered pair of packed letters on n strands, filled on first lookup.
 
     `self[xy]` lists the (packed replacement pair, direction) rewrites
     of the packed pair xy, a 2-character str, in search order (forward
-    first), packed from `_rewrites` once per pair a search meets.
+    first), packed from `_rewrites` once per pair a search meets;
+    `letters` holds the band generators of the packed letters met.
     """
 
-    def __init__(self, gens: _Letters) -> None:
+    def __init__(self, n: int) -> None:
         super().__init__()
-        self.gens = gens
+        self.letters = _Letters(n)
 
     def __missing__(self, pair: str):
-        x, y = map(self.gens.__getitem__, _decode(pair))
+        x, y = map(self.letters.__getitem__, _decode(pair))
         self[pair] = rewrites = tuple((_pack(p), d) for p, d in _rewrites(x, y))
         return rewrites
 
 
-@lru_cache(maxsize=None)
-def _letter_table(n: int):
-    """The packed letters on n strands and their `_PairTable`, both filled on first lookup."""
-    gens = _Letters(n)
-    return gens, _PairTable(gens)
+_pair_table = lru_cache(maxsize=None)(_PairTable)  # one table per strand count, for every search
 
 
 def _tree(w: BandWord) -> SearchTree:
-    return SearchTree(_pack(w.letters), _letter_table(w.n)[1].__getitem__)
+    return SearchTree(_pack(w.letters), _pair_table(w.n).__getitem__)
 
 
 def unpack(n: int, word: str) -> BandWord:
     """The band word of a packed word (see `_pack`), a state of `closure_tree`."""
-    gens = _letter_table(n)[0]
-    return BandWord(n, tuple(map(gens.__getitem__, _decode(word))))
+    return BandWord(n, tuple(map(_pair_table(n).letters.__getitem__, _decode(word))))
 
 
 def neighbors(w: BandWord) -> tuple[tuple[BandWord, tuple[int, int]], ...]:
@@ -221,4 +211,4 @@ def hurwitz_path_positive(w1: BandWord, w2: BandWord, size_cap: int = DEFAULT_WO
     moves = tuple(Move(*step) for step in tree.path(target))
     check_replay(apply_sequence(band_factorization(w1), moves), band_factorization(w2),
                  "compiled move sequence")
-    return PathResult("found", moves, len(tree.parents), tree.capped)
+    return PathResult("found", moves, len(tree.parents), False)

@@ -34,6 +34,11 @@ class InputError(ValueError):
 # takes about 4 s.
 MAX_STRANDS = 2048
 
+# A move sequence may leave pairs of at most this many letters in all,
+# so factors that grow by a constant factor per move end in an input
+# error, not exhausted memory.
+MAX_LETTERS = 1_000_000
+
 
 def _check_strands(n: int) -> None:
     if n < 2:

@@ -95,9 +95,9 @@ def test_expansion_exponent_sum_equals_length():
 @pytest.mark.parametrize(
     "x, y, expected",
     [
-        ((3, 2), (2, 1), PairClass.CHAIN_A),
-        ((3, 1), (3, 2), PairClass.CHAIN_B),
-        ((2, 1), (3, 1), PairClass.CHAIN_C),
+        ((3, 2), (2, 1), PairClass.CHAIN),
+        ((3, 1), (3, 2), PairClass.CHAIN),
+        ((2, 1), (3, 1), PairClass.CHAIN),
         ((2, 1), (4, 3), PairClass.COMMUTING),
         ((4, 3), (2, 1), PairClass.COMMUTING),
         ((3, 1), (4, 2), PairClass.INTERLEAVED),

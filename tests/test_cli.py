@@ -190,6 +190,18 @@ def test_oversized_strand_counts_exit_3_at_once(argv):
     assert proc.stderr.startswith("error: strand count must be at most 2048, got ")
 
 
+def test_moves_past_the_letter_bound_exit_3_at_once():
+    # [1, -2] * k on (s1, s2, s1) grows the factors about 1.6-fold per move;
+    # unbounded, they would hold about 250 million letters after move 40.
+    argv = ("hurwitz-apply", json.dumps({"strands": 3, "factors": ["1", "2", "1"]}),
+            json.dumps([1, -2] * 40))
+    start = time.perf_counter()
+    proc = spawn(argv, preexec_fn=cap_memory)
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: move 28 of the sequence: the moved pairs pass 1,000,000 letters in all\n"
+
+
 # The standard 3-strand factorization of the full twist has an infinite
 # orbit, so with no cap flags the searches must stop at a default cap and
 # exit 2 (inconclusive).  Each runs in its own process, so the exit code is

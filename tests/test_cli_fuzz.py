@@ -7,7 +7,8 @@ error, since malformed input must exit 3, not 2.  Arguments are
 drawn per subcommand: Artin words, "t:s" band tokens, well-formed and
 broken JSON, suite names, strand counts in [-1, 4] and caps in [-2, 50].
 Searches that could run long always get a size cap, and `verify` runs
-at 4 strands only under one.
+at 4 strands only under one.  `hurwitz-apply` also gets move sequences
+that grow their factors, on both sides of the letter bound.
 """
 
 import contextlib
@@ -58,6 +59,10 @@ JSON_ARG = (FACTORIZATION | MOVES | JSON_VALUES).map(json.dumps) | BROKEN
 RARELY = st.sampled_from([False] * 9 + [True])
 SUITE = st.sampled_from(SUITE_NAMES + ("no-such-suite",))
 CAP = st.integers(-2, 50)
+# [1, -2] * k grows the factors of (s1, s2, s1) about 1.6-fold per move:
+# k <= 13 stays under `words.MAX_LETTERS`, and k >= 14 passes it.
+GROWING = st.integers(0, 16).map(lambda k: [
+    json.dumps({"strands": 3, "factors": ["1", "2", "1"]}), json.dumps([1, -2] * k)])
 
 # Each subcommand: the strategies of its positionals, whether it takes
 # --strands, its optional caps, and whether --size-cap is always set.
@@ -85,6 +90,8 @@ def argvs(draw):
     args = [draw(ARTIN | BAND if draw(RARELY) else p) for p in positionals]
     if name == "verify":
         args = draw(st.lists(SUITE, max_size=2))
+    if name == "hurwitz-apply" and draw(st.booleans()):
+        args = draw(GROWING)
     n = draw(st.none() | st.integers(-1, 4)) if strands else None
     if n is not None:
         argv += ["--strands", str(n)]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from braidkit import hurwitz
 from braidkit.bands import (
     Factorization,
     band_factorization,
@@ -194,6 +195,20 @@ def test_move_letters_is_the_loop_apply_sequence_wraps(f, moves):
     # Positions up to 6 run past the last pair of most factorizations.
     want = outcome(lambda: letters(apply_sequence(f, moves)))
     assert outcome(lambda: _move_letters(letters(f), moves)) == want
+
+
+def test_the_letter_bound_admits_exactly_max_letters(monkeypatch):
+    f, moves = letters(fact(3, "1", "2", "1")), [move_from_int(v) for v in [1, -2] * 6]
+    moved, total = f, 0  # the letters of each pair a move leaves, one move at a time
+    for m in moves:
+        moved = _move_letters(moved, [m])
+        total += len(moved[m.k - 1]) + len(moved[m.k])
+    monkeypatch.setattr(hurwitz, "MAX_LETTERS", total)
+    assert _move_letters(f, moves) == moved
+    monkeypatch.setattr(hurwitz, "MAX_LETTERS", total - 1)
+    with pytest.raises(InputError, match=f"move 12 of the sequence: the moved pairs pass "
+                                         f"{total - 1:,} letters in all"):
+        _move_letters(f, moves)
 
 
 def test_apply_move_position_out_of_range():

@@ -146,11 +146,11 @@ def flipped_chain_labels(monkeypatch):
         rewrites = real(x, y)
         return tuple((pair, -d) for pair, d in rewrites) if len(rewrites) == 2 else rewrites
 
-    rewriting._letter_table.cache_clear()
+    rewriting._pair_table.cache_clear()
     monkeypatch.setattr(rewriting, "_rewrites", flipped)
     yield
     monkeypatch.undo()
-    rewriting._letter_table.cache_clear()
+    rewriting._pair_table.cache_clear()
 
 
 def test_a_mislabelled_pair_table_fails_every_chain_rule(flipped_chain_labels):

@@ -37,7 +37,8 @@ from braidkit.hurwitz import (
     tuple_key,
 )
 from braidkit.rewriting import (
-    _letter_table,
+    _PairTable,
+    _pair_table,
     apply_step,
     closure_tree,
     equivalence_class,
@@ -512,7 +513,7 @@ def commute(x, y):
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_the_packed_pair_table_agrees_with_classify_pair_and_apply_step(n):
-    gens, pairs = all_generators(n), _letter_table(n)[1]
+    gens, pairs = all_generators(n), _pair_table(n)
     index = {g: i for i, g in enumerate(gens)}
     want = {}
     for t, s, r in itertools.combinations(range(n, 0, -1), 3):
@@ -551,7 +552,7 @@ def test_neighbors_match_the_reference_on_whole_words():
 
 def test_packed_letters_unpack_to_all_generators_index_by_index():
     for n in range(2, 13):
-        letters, gens = _letter_table.__wrapped__(n)[0], all_generators(n)
+        letters, gens = _PairTable(n).letters, all_generators(n)
         assert [letters[k] for k in range(len(gens))] == list(gens)
         assert tuple(_decode(rewriting._pack(gens))) == tuple(range(len(gens)))
 
@@ -588,15 +589,15 @@ def test_factor_table_states_decode_to_the_ids_of_the_kept_words(monkeypatch):
 
 
 def test_the_pair_table_fills_only_the_pairs_a_search_looks_up(capsys):
-    _letter_table.cache_clear()
+    _pair_table.cache_clear()
     assert len(equivalence_class(parse_band_word("2:1", 40)).words) == 1
-    assert len(_letter_table(40)[1]) == 0
+    assert len(_pair_table(40)) == 0
     assert len(equivalence_class(parse_band_word("3:2 2:1", 40)).words) == 3
-    assert len(_letter_table(40)[1]) == 3
+    assert len(_pair_table(40)) == 3
     # On many strands the tables hold only what the search meets, not C(n,2) letters.
     assert cli.main(["rewrite-class", "--strands", "1500", "2:1"]) == 0
     assert capsys.readouterr().out == "size=1 truncated=False\n2:1\n"
-    assert len(_letter_table(1500)[0]) == 1 and len(_letter_table(1500)[1]) == 0
+    assert len(_pair_table(1500).letters) == 1 and len(_pair_table(1500)) == 0
 
 
 def letters(w):
